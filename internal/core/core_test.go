@@ -528,6 +528,47 @@ func TestProberDetectsLossyPath(t *testing.T) {
 	}
 }
 
+// TestProberTimeoutsExpireAtDeadlineAndStopIsFinal pins the probe-timeout
+// FIFO to the per-probe semantics it replaced: every unanswered probe is
+// declared lost exactly ProbeTimeout after it was sent, and Stop drops all
+// pending probes so none is ever declared lost afterwards.
+func TestProberTimeoutsExpireAtDeadlineAndStopIsFinal(t *testing.T) {
+	const interval = 500 * sim.Microsecond
+	eng, nw, _, probers := proberSetup(t, interval)
+	for _, s := range nw.Spines {
+		s.AddDropFn(func(p *net.Packet) bool { return p.Kind == net.Probe })
+	}
+	p := probers[0]
+	timeout := p.timeout
+	eng.Run(interval) // the first tick fires at t = interval
+	first := p.ProbesSent
+	if first == 0 {
+		t.Fatal("first tick sent no probes")
+	}
+	eng.Run(interval + timeout - 1)
+	if p.ProbesLost != 0 {
+		t.Fatalf("%d probes lost before their deadline", p.ProbesLost)
+	}
+	if p.PendingProbes() != int(p.ProbesSent) {
+		t.Fatalf("pending = %d, want all %d sent probes", p.PendingProbes(), p.ProbesSent)
+	}
+	eng.Run(interval + timeout)
+	if p.ProbesLost != first {
+		t.Fatalf("lost %d at the first deadline, want the first tick's %d", p.ProbesLost, first)
+	}
+	for _, q := range probers {
+		q.Stop()
+	}
+	if p.PendingProbes() != 0 {
+		t.Fatalf("pending after Stop = %d, want 0", p.PendingProbes())
+	}
+	lost := p.ProbesLost
+	eng.Run(interval + 3*timeout)
+	if p.ProbesLost != lost {
+		t.Fatalf("stopped prober declared %d more probes lost", p.ProbesLost-lost)
+	}
+}
+
 func TestProbeOverheadSmall(t *testing.T) {
 	eng, nw, _, probers := proberSetup(t, 500*sim.Microsecond)
 	eng.Run(100 * sim.Millisecond)

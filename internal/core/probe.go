@@ -25,7 +25,14 @@ type Prober struct {
 
 	prevBest []int // per destination leaf
 	nextID   uint64
-	pending  map[uint64]*pendingProbe
+	pending  map[uint64]pendingProbe
+
+	// Probe timeouts are a constant offset from send time, so they expire
+	// in send order: deadlines is a FIFO served by one queued wakeup, wake,
+	// at the head's (deadline, reserved seq). Answered probes stay queued
+	// and are skipped when they reach the head, so an echo cancels nothing.
+	deadlines []probeDeadline
+	wake      *sim.Event
 
 	// ProbesSent / ProbeBytes quantify the Table 6 overhead.
 	ProbesSent uint64
@@ -38,7 +45,15 @@ type Prober struct {
 type pendingProbe struct {
 	dstLeaf int
 	path    int
-	timer   *sim.Event
+}
+
+// probeDeadline is one probe's timeout position: the instant it expires and
+// the sequence number reserved when it was sent, which is exactly where a
+// per-probe timeout event scheduled at send time would have fired.
+type probeDeadline struct {
+	id  uint64
+	at  sim.Time
+	seq uint64
 }
 
 // NewProber wires the agent host's probe handlers and starts the periodic
@@ -51,7 +66,7 @@ func NewProber(mon *Monitor, rng *sim.RNG, agents []*net.Host) *Prober {
 		RemoteAgents: agents,
 		interval:     mon.P.ProbeInterval,
 		timeout:      mon.P.ProbeTimeout,
-		pending:      map[uint64]*pendingProbe{},
+		pending:      map[uint64]pendingProbe{},
 		prevBest:     make([]int, len(agents)),
 	}
 	for i := range p.prevBest {
@@ -100,9 +115,11 @@ func (p *Prober) PendingProbes() int { return len(p.pending) }
 // pending entries.
 func (p *Prober) Stop() {
 	p.stopped = true
-	for id, pp := range p.pending {
-		pp.timer.Cancel()
-		delete(p.pending, id)
+	clear(p.pending)
+	p.deadlines = p.deadlines[:0]
+	if p.wake != nil {
+		p.wake.Cancel()
+		p.wake = nil
 	}
 }
 
@@ -153,13 +170,10 @@ func (p *Prober) sendProbe(dstLeaf, path int, now sim.Time) {
 	p.nextID++
 	id := p.nextID
 	dst := p.RemoteAgents[dstLeaf]
-	pp := &pendingProbe{dstLeaf: dstLeaf, path: path}
-	pp.timer = p.Mon.Net.Eng.ScheduleKind(p.timeout, sim.KindProbe, func() {
-		delete(p.pending, id)
-		p.ProbesLost++
-		p.Mon.OnProbeResult(dstLeaf, path, true, false, 0)
-	})
-	p.pending[id] = pp
+	seq := p.Mon.Net.Eng.ReserveSeq()
+	p.deadlines = append(p.deadlines, probeDeadline{id: id, at: now + p.timeout, seq: seq})
+	p.pending[id] = pendingProbe{dstLeaf: dstLeaf, path: path}
+	p.armWake()
 	p.ProbesSent++
 	p.ProbeBytes += net.ProbeBytes
 	pkt := p.Mon.Net.AllocPacket()
@@ -176,13 +190,46 @@ func (p *Prober) sendProbe(dstLeaf, path int, now sim.Time) {
 	p.Agent.Send(pkt)
 }
 
+// armWake drops answered probes from the head of the deadline FIFO and
+// queues the wakeup for the first unanswered one, unless one is queued.
+func (p *Prober) armWake() {
+	if p.wake != nil {
+		return
+	}
+	for len(p.deadlines) > 0 {
+		if _, ok := p.pending[p.deadlines[0].id]; ok {
+			break
+		}
+		p.deadlines = p.deadlines[1:]
+	}
+	if len(p.deadlines) == 0 {
+		return
+	}
+	d := p.deadlines[0]
+	p.wake = p.Mon.Net.Eng.AtCallSeq(d.at, d.seq, sim.KindProbe, proberWake, p, nil)
+}
+
+// proberWake fires at the head probe's deadline. The head may have been
+// answered since the wakeup was queued; then the wakeup is a no-op.
+func proberWake(a1, _ any) {
+	p := a1.(*Prober)
+	p.wake = nil
+	id := p.deadlines[0].id
+	p.deadlines = p.deadlines[1:]
+	if pp, ok := p.pending[id]; ok {
+		delete(p.pending, id)
+		p.ProbesLost++
+		p.Mon.OnProbeResult(pp.dstLeaf, pp.path, true, false, 0)
+	}
+	p.armWake()
+}
+
 func (p *Prober) onEcho(pkt *net.Packet) {
 	pp, ok := p.pending[pkt.Flow]
 	if !ok {
 		return
 	}
 	delete(p.pending, pkt.Flow)
-	pp.timer.Cancel()
 	now := p.Mon.Net.Eng.Now()
 	rtt := now - pkt.EchoSent
 	p.Mon.OnProbeResult(pp.dstLeaf, pp.path, false, pkt.EchoCE, rtt)

@@ -13,6 +13,7 @@ import (
 
 	hnet "github.com/hermes-repro/hermes/internal/net"
 	"github.com/hermes-repro/hermes/internal/sim"
+	"github.com/hermes-repro/hermes/internal/transport"
 )
 
 // Benchmark is one pinned microbenchmark.
@@ -27,6 +28,7 @@ func Benchmarks() []Benchmark {
 		{Name: "net.BenchmarkPacketForward", Fn: PacketForward},
 		{Name: "net.BenchmarkPacketForwardPipelined", Fn: PacketForwardPipelined},
 		{Name: "sim.BenchmarkEngineScheduleRun", Fn: EngineScheduleRun},
+		{Name: "transport.BenchmarkAckPath", Fn: AckPath},
 	}
 }
 
@@ -101,5 +103,56 @@ func PacketForwardPipelined(b *testing.B) {
 	eng.RunAll()
 	if delivered != b.N {
 		b.Fatalf("delivered %d of %d packets", delivered, b.N)
+	}
+}
+
+// pathZero pins every segment to path 0 and ignores all feedback, so the
+// ACK-path benchmark measures transport work, not a balancer.
+type pathZero struct{ transport.BaseBalancer }
+
+func (pathZero) Name() string                   { return "path0" }
+func (pathZero) SelectPath(*transport.Flow) int { return 0 }
+
+// AckPath measures the sender's steady-state ACK clock on a warm flow: one
+// cumulative ACK arrives, advances the window by a segment, re-arms the
+// retransmission timer and hands the released segments to the NIC. The
+// ACKs are synthetic and CE-marked (DCTCP then holds the window small, so
+// every ACK releases about one segment), and reach the sender from a
+// same-leaf host, two engine hops each. The sender's own access link is cut:
+// released segments drop at enqueue instead of loading the fabric. The
+// engine advances 3 µs per ACK, so a timer re-armed RTOmin ahead on every
+// ACK would otherwise leave thousands of dead events in the heap.
+func AckPath(b *testing.B) {
+	eng, nw := benchFabric(b)
+	tr := transport.New(nw, transport.DefaultOptions(),
+		func(*hnet.Host) transport.Balancer { return pathZero{} })
+	nw.Hosts[0].Uplink().SetRateBps(0)
+	f := tr.StartFlow(0, 2, 1<<50)
+	const step = 3 * sim.Microsecond
+	var acked int64
+	ack := func() {
+		if acked += hnet.MSS; acked > f.SentBytes() {
+			acked = f.SentBytes()
+		}
+		pkt := nw.AllocPacket()
+		*pkt = hnet.Packet{
+			Kind: hnet.Ack, Flow: f.ID, Src: 2, Dst: 0, Wire: hnet.AckBytes,
+			AckSeq: acked, EchoSent: eng.Now() - 10*sim.Microsecond, EchoCE: true,
+			SentAt: eng.Now(),
+		}
+		nw.Hosts[1].Send(pkt)
+		eng.Run(eng.Now() + step)
+	}
+	for i := 0; i < 10_000; i++ { // warm: window, estimators, heap, pools
+		ack()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ack()
+	}
+	b.StopTimer()
+	if f.Done || f.Timeouts() != 0 {
+		b.Fatalf("flow done=%v timeouts=%d: the ACK clock stalled", f.Done, f.Timeouts())
 	}
 }

@@ -8,6 +8,15 @@
 // and cancelled events are recycled through a free list, and ScheduleCall
 // lets callers schedule a pre-bound function with two receiver arguments so
 // the steady state performs no allocation at all.
+//
+// Timers that move far more often than they fire (TCP retransmission
+// timeouts re-armed on every ACK, the receiver reorder timer) use Timer, a
+// lazy deadline that keeps one queued wakeup instead of cancelling and
+// re-queueing an event per move. ReserveSeq and AtCallSeq let it, and the
+// Hermes prober's timeout FIFO, fire at exactly the (time, seq) position an
+// event scheduled when the deadline was set would have had, so runs stay
+// byte-identical to cancel-and-reschedule while the heap holds only live
+// work.
 package sim
 
 import "fmt"
@@ -44,6 +53,10 @@ const (
 // engine reuses the struct, so holding handles past their event's lifetime
 // is a bug (the Config.Checks invariant checker exists to catch the
 // resulting double-fire/fire-after-cancel corruption).
+//
+// A cancelled event stays in the heap until popped, so a deadline that is
+// re-armed often should not be a cancelled-and-rescheduled Event: use Timer,
+// which owns its wakeup handle and never exposes it.
 type Event struct {
 	at  Time
 	seq uint64 // tie-break: preserves scheduling order at equal times
@@ -121,7 +134,8 @@ func (e *Engine) Pending() int { return len(e.events) }
 func (e *Engine) Seq() uint64 { return e.seq }
 
 // PendingCensus returns the number of queued events per profiling kind,
-// plus the count of cancelled events awaiting lazy removal — a structural
+// plus the count of cancelled events awaiting lazy removal (a Timer counts
+// as one event of its kind however often it was re-armed) — a structural
 // fingerprint of the event queue that is invariant under heap layout.
 // Scheduling and cancellation are both deterministic, so two engines driven
 // by the same program agree on the census at every instant.
@@ -243,6 +257,38 @@ func (e *Engine) enqueue(ev *Event, t Time) {
 	ev.state = stateQueued
 	e.seq++
 	e.push(ev)
+}
+
+// ReserveSeq consumes and returns the next scheduling sequence number
+// without queueing anything. A later AtCallSeq with the reserved number
+// places an event exactly where an event scheduled now would sit among
+// same-instant events, which is what lets Timer move a deadline without
+// queueing a new event per move.
+func (e *Engine) ReserveSeq() uint64 {
+	s := e.seq
+	e.seq++
+	return s
+}
+
+// AtCallSeq queues fn(a1, a2) at absolute time t under a sequence number
+// previously obtained from ReserveSeq; it does not consume a new one. A t in
+// the past fires at the current time. Each reserved number must be queued
+// at most once at a time, or same-instant ordering is no longer total.
+func (e *Engine) AtCallSeq(t Time, seq uint64, k Kind, fn func(a1, a2 any), a1, a2 any) *Event {
+	if t < e.now {
+		t = e.now
+	}
+	if e.checks && seq >= e.seq {
+		e.violate("AtCallSeq with unreserved seq %d (next %d)", seq, e.seq)
+	}
+	ev := e.alloc()
+	ev.fn2, ev.a1, ev.a2 = fn, a1, a2
+	ev.kind = k
+	ev.at = t
+	ev.seq = seq
+	ev.state = stateQueued
+	e.push(ev)
+	return ev
 }
 
 // Stop makes Run return after the currently executing event completes.

@@ -77,14 +77,11 @@ func (t *Transport) Dump() *Dump {
 			SRTT:        f.srtt,
 			RTTVar:      f.rttvar,
 			RTOBackoff:  f.rtoBackoff,
-			RTOAtNs:     -1,
+			RTOAtNs:     f.rtoTimer.Deadline(),
 			Timeouts:    f.timeouts,
 			CurPath:     f.CurPath,
 			PathChanges: f.PathChanges,
 			Hidden:      f.Hidden,
-		}
-		if f.rtoTimer != nil && !f.rtoTimer.Canceled() {
-			fd.RTOAtNs = f.rtoTimer.At()
 		}
 		d.Active = append(d.Active, fd)
 	}

@@ -112,6 +112,7 @@ func (tr *Transport) StartFlow(src, dst int, size int64) *Flow {
 		dre:      net.NewDRE(0),
 		ep:       ep,
 	}
+	f.rtoTimer.Init(tr.Eng, sim.KindRTO, flowRTO, f, nil)
 	ep.flows[f.ID] = f
 	tr.active[f.ID] = f
 	tr.telemFlowsStarted.Inc()

@@ -110,7 +110,7 @@ type Flow struct {
 	// RTT estimation / RTO.
 	srtt, rttvar float64
 	rtoBackoff   int
-	rtoTimer     *sim.Event
+	rtoTimer     sim.Timer // lazy deadline: re-arming queues no event
 	timeouts     int
 
 	dre net.DRE

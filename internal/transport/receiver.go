@@ -14,15 +14,21 @@ type rcvFlow struct {
 	// Reordering-buffer state (enabled via Options.ReorderTimeout): while a
 	// hole exists, duplicate ACKs are suppressed until the hole persists
 	// past the timeout; then the buffer "releases" and dupACKs flow so that
-	// genuine losses still trigger fast retransmit.
-	reorderTimer *sim.Event
+	// genuine losses still trigger fast retransmit. trigger is a copy of the
+	// data packet that opened the hole (the fabric recycles the live packet
+	// as soon as delivery returns) and buffered the out-of-order segment
+	// count at that moment.
+	reorderTimer sim.Timer
 	reorderOpen  bool
+	trigger      net.Packet
+	buffered     int
 }
 
 func (ep *Endpoint) onData(pkt *net.Packet) {
 	r := ep.rcv[pkt.Flow]
 	if r == nil {
 		r = &rcvFlow{segs: map[int64]int64{}}
+		r.reorderTimer.Init(ep.tr.Eng, sim.KindTimer, reorderRelease, ep, r)
 		ep.rcv[pkt.Flow] = r
 	}
 	end := pkt.Seq + int64(pkt.Payload)
@@ -67,10 +73,7 @@ func (ep *Endpoint) onData(pkt *net.Packet) {
 	if progressed {
 		if len(r.segs) == 0 {
 			r.reorderOpen = false
-			if r.reorderTimer != nil {
-				r.reorderTimer.Cancel()
-				r.reorderTimer = nil
-			}
+			r.reorderTimer.Stop()
 		}
 		ep.sendAck(pkt, r)
 		return
@@ -80,31 +83,31 @@ func (ep *Endpoint) onData(pkt *net.Packet) {
 		ep.sendAck(pkt, r)
 		return
 	}
-	if r.reorderTimer == nil {
-		buffered := len(r.segs)
-		// Copy the triggering packet: the fabric recycles *pkt into the
-		// packet pool as soon as this handler returns, so the closure must
-		// not retain the live pointer past delivery.
-		trigger := *pkt
-		r.reorderTimer = ep.tr.Eng.ScheduleKind(timeout, sim.KindTimer, func() {
-			r.reorderTimer = nil
-			if len(r.segs) == 0 {
-				return
-			}
-			r.reorderOpen = true
-			// Release the buffer: emit the dupACKs plain TCP would have
-			// produced for the segments that arrived past the hole.
-			n := len(r.segs)
-			if buffered > n {
-				n = buffered
-			}
-			if n > 8 {
-				n = 8
-			}
-			for i := 0; i < n; i++ {
-				ep.sendAck(&trigger, r)
-			}
-		})
+	if !r.reorderTimer.Armed() {
+		r.buffered = len(r.segs)
+		r.trigger = *pkt
+		r.reorderTimer.Arm(ep.tr.Eng.Now() + timeout)
+	}
+}
+
+// reorderRelease runs when a hole outlives Options.ReorderTimeout: it opens
+// the buffer and emits the dupACKs plain TCP would have produced for the
+// segments that arrived past the hole.
+func reorderRelease(a1, a2 any) {
+	ep, r := a1.(*Endpoint), a2.(*rcvFlow)
+	if len(r.segs) == 0 {
+		return
+	}
+	r.reorderOpen = true
+	n := len(r.segs)
+	if r.buffered > n {
+		n = r.buffered
+	}
+	if n > 8 {
+		n = 8
+	}
+	for i := 0; i < n; i++ {
+		ep.sendAck(&r.trigger, r)
 	}
 }
 

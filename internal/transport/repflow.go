@@ -99,10 +99,7 @@ func (tr *Transport) CancelFlow(f *Flow) {
 	f.Done = true
 	f.Cancelled = true
 	f.EndAt = tr.Eng.Now()
-	if f.rtoTimer != nil {
-		f.rtoTimer.Cancel()
-		f.rtoTimer = nil
-	}
+	f.rtoTimer.Stop()
 	delete(f.ep.flows, f.ID)
 	delete(tr.active, f.ID)
 	tr.FlowsCancelled++

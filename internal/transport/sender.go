@@ -59,7 +59,7 @@ func (f *Flow) sendSegment(seq int64, payload int, retx bool) {
 	if seq+int64(payload) > f.hiWater {
 		f.hiWater = seq + int64(payload)
 	}
-	if f.rtoTimer == nil {
+	if !f.rtoTimer.Armed() {
 		f.armRTO()
 	}
 }
@@ -90,28 +90,24 @@ func (f *Flow) rto() sim.Time {
 	return base << uint(backoff)
 }
 
+// armRTO (re)sets the retransmission deadline. The timer is lazy: a re-arm,
+// which happens on every ACK that advances the window, only moves the
+// deadline and queues no engine event (see sim.Timer).
 func (f *Flow) armRTO() {
-	eng := f.ep.tr.Eng
-	// ScheduleCall with a package-level trampoline: no closure and (with a
-	// warm engine free list) no event allocation per re-arm, which happens
-	// on every ACK that advances the window.
-	f.rtoTimer = eng.ScheduleCallKind(f.rto(), sim.KindRTO, flowRTO, f, nil)
+	f.rtoTimer.Arm(f.ep.tr.Eng.Now() + f.rto())
 }
 
 func flowRTO(a1, _ any) { a1.(*Flow).onRTO() }
 
 func (f *Flow) rearmRTO() {
-	if f.rtoTimer != nil {
-		f.rtoTimer.Cancel()
-		f.rtoTimer = nil
-	}
 	if f.cumAck < f.sndNxt || f.sndNxt < f.Size {
 		f.armRTO()
+	} else {
+		f.rtoTimer.Stop()
 	}
 }
 
 func (f *Flow) onRTO() {
-	f.rtoTimer = nil
 	if f.Done {
 		return
 	}
@@ -258,10 +254,7 @@ func (f *Flow) updateRTT(rtt sim.Time) {
 func (f *Flow) finish(now sim.Time) {
 	f.Done = true
 	f.EndAt = now
-	if f.rtoTimer != nil {
-		f.rtoTimer.Cancel()
-		f.rtoTimer = nil
-	}
+	f.rtoTimer.Stop()
 	tr := f.ep.tr
 	delete(f.ep.flows, f.ID)
 	delete(tr.active, f.ID)

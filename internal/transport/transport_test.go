@@ -391,3 +391,57 @@ func TestGoBackNAfterRTOResendsFromCumAck(t *testing.T) {
 		t.Fatalf("expected repeated RTOs, got %d", bal.timeouts)
 	}
 }
+
+// ackClockBalancer records when the last window-advancing ACK arrived.
+type ackClockBalancer struct {
+	fixedPathBalancer
+	eng       *sim.Engine
+	lastAdvAt sim.Time
+}
+
+func (b *ackClockBalancer) OnAck(f *Flow, e AckEvent) {
+	if e.NewlyAcked > 0 {
+		b.lastAdvAt = b.eng.Now()
+	}
+}
+
+// TestDumpRTOAtNsIsLastArmedDeadline pins the checkpoint-visible RTO
+// deadline to the lazy timer's deadline: the flow's start plus RTOmin
+// before any ACK, the last window-advancing ACK plus the current RTO after
+// (each such ACK re-arms, though the queued wakeup stays where it was), and
+// -1 once the timer is disarmed.
+func TestDumpRTOAtNsIsLastArmedDeadline(t *testing.T) {
+	eng, _, tr, _ := testFabric(t, 1, DefaultOptions())
+	bal := &ackClockBalancer{eng: eng}
+	for _, ep := range tr.Endpoints {
+		ep.SetBalancer(bal)
+	}
+	rtoAt := func() int64 {
+		t.Helper()
+		d := tr.Dump()
+		if len(d.Active) != 1 {
+			t.Fatalf("active flows = %d, want 1", len(d.Active))
+		}
+		return d.Active[0].RTOAtNs
+	}
+	f := tr.StartFlow(0, 2, 50_000_000)
+	if got, want := rtoAt(), int64(tr.Opts.RTOMin); got != want {
+		t.Fatalf("before any ACK: RTOAtNs = %d, want %d", got, want)
+	}
+	for _, until := range []sim.Time{20 * sim.Microsecond, 200 * sim.Microsecond, 3 * sim.Millisecond} {
+		eng.Run(until)
+		if bal.lastAdvAt == 0 || f.Done {
+			t.Fatalf("at %d: no ACK yet or flow already done", until)
+		}
+		if got, want := rtoAt(), int64(bal.lastAdvAt+f.rto()); got != want {
+			t.Fatalf("at %d: RTOAtNs = %d, want last ACK %d + RTO %d", until, got, bal.lastAdvAt, f.rto())
+		}
+	}
+	if eng.Pending() > 64 {
+		t.Fatalf("pending events = %d: RTO re-arms are queueing events", eng.Pending())
+	}
+	f.rtoTimer.Stop()
+	if got := rtoAt(); got != -1 {
+		t.Fatalf("disarmed: RTOAtNs = %d, want -1", got)
+	}
+}
