@@ -71,6 +71,7 @@ func chaosExp(o options) {
 		// disk; report the cancellation with a non-zero exit.
 		endCSVTable()
 		fmt.Fprintf(os.Stderr, "\ninterrupted (%v); partial chaos matrix flushed\n", err)
+		stopProfiles()
 		os.Exit(130)
 	}
 }

@@ -126,13 +126,11 @@ func main() {
 
 		workers = flag.Int("workers", 0, "worker-pool size for multi-seed sweeps (0 = GOMAXPROCS)")
 
-		telem   = flag.Bool("telemetry", false, "run every experiment with telemetry enabled")
-		repDir  = flag.String("report", "", "write one telemetry report JSON per run into this directory (implies -telemetry)")
-		audDir  = flag.String("audit", "", "write one Hermes audit JSONL per run into this directory (implies -telemetry)")
-		trcDir  = flag.String("trace", "", "write one flow-trace JSONL per run into this directory (analyze with hermes-trace)")
-		tsDir   = flag.String("timeseries", "", "write one flight-recorder time-series JSONL per run into this directory (view with hermes-trace -timeline)")
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		telem  = flag.Bool("telemetry", false, "run every experiment with telemetry enabled")
+		repDir = flag.String("report", "", "write one telemetry report JSON per run into this directory (implies -telemetry)")
+		audDir = flag.String("audit", "", "write one Hermes audit JSONL per run into this directory (implies -telemetry)")
+		trcDir = flag.String("trace", "", "write one flow-trace JSONL per run into this directory (analyze with hermes-trace)")
+		tsDir  = flag.String("timeseries", "", "write one flight-recorder time-series JSONL per run into this directory (view with hermes-trace -timeline)")
 
 		perfBench  = flag.Bool("perf", false, "run the pinned microbenchmarks, append results to the perf ledger, then exit")
 		perfCount  = flag.Int("perf-count", 5, "repetitions per pinned benchmark in -perf mode")
@@ -146,6 +144,7 @@ func main() {
 		progressSec = flag.Int("progress-interval", 5, "seconds between -progress lines")
 		version     = flag.Bool("version", false, "print build version and VCS revision, then exit")
 	)
+	prof := perf.ProfileFlags(flag.CommandLine, "the experiments")
 	flag.Parse()
 	if *version {
 		fmt.Println(hermes.VersionString())
@@ -226,21 +225,11 @@ func main() {
 		return
 	}
 
-	if *cpuProf != "" {
-		stop, err := perf.StartCPUProfile(*cpuProf)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer stop()
+	var err error
+	if stopProfiles, err = prof.Start(); err != nil {
+		log.Fatal(err)
 	}
-	defer func() {
-		if *memProf == "" {
-			return
-		}
-		if err := perf.WriteHeapProfile(*memProf); err != nil {
-			log.Fatal(err)
-		}
-	}()
+	defer stopProfiles()
 
 	o := options{flows: *flows, seed: *seed, full: *full}
 	if *exp == "all" {
@@ -270,6 +259,10 @@ var benchCtx context.Context = context.Background()
 // cancellation at the same slice boundary.
 var interruptOnce sync.Once
 
+// stopProfiles flushes the -cpuprofile/-memprofile profiles; exit paths that
+// leave through os.Exit call it because deferred calls do not run there.
+var stopProfiles = func() {}
+
 // interruptExit flushes the current experiment's partially-written table,
 // reports where the run stopped, and exits 130. Never returns: losers of the
 // race park until the winner's os.Exit tears the process down.
@@ -277,6 +270,7 @@ func interruptExit(err error) {
 	interruptOnce.Do(func() {
 		endCSVTable()
 		fmt.Fprintf(os.Stderr, "\ninterrupted during %s (%v); partial tables flushed\n", currentExp, err)
+		stopProfiles()
 		os.Exit(130)
 	})
 	select {}

@@ -54,10 +54,9 @@ func main() {
 		progressSec   = flag.Int("progress-interval", 5, "seconds between -progress lines")
 		perfOn        = flag.Bool("perf", false, "profile every matrix run and print the perf observatory aggregate to stderr")
 		perfSample    = flag.Int("perf-sample", 0, "wall-time attribution stride: time 1 in N event fires (0 = 64 default)")
-		cpuProfile    = flag.String("cpuprofile", "", "write a pprof CPU profile of the matrix to this file")
-		memProfile    = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 		version       = flag.Bool("version", false, "print build version and VCS revision, then exit")
 	)
+	prof := perf.ProfileFlags(flag.CommandLine, "the matrix")
 	flag.Parse()
 
 	if *version {
@@ -65,20 +64,11 @@ func main() {
 		return
 	}
 
-	if *cpuProfile != "" {
-		stop, err := perf.StartCPUProfile(*cpuProfile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer stop()
+	stopProfiles, err := prof.Start()
+	if err != nil {
+		log.Fatal(err)
 	}
-	if *memProfile != "" {
-		defer func() {
-			if err := perf.WriteHeapProfile(*memProfile); err != nil {
-				log.Print(err)
-			}
-		}()
-	}
+	defer stopProfiles()
 
 	if *listFlag {
 		fmt.Println("builtin scenarios:", strings.Join(hermes.ScenarioNames(), " "))
@@ -246,12 +236,13 @@ func main() {
 	}
 	if err != nil {
 		// The partial artifact is flushed (os.File writes are unbuffered);
-		// report the interruption and exit non-zero. Skipped defers only
-		// lose the closing log lines.
+		// report the interruption and exit non-zero. The profiles are
+		// flushed by hand; other skipped defers only lose closing log lines.
 		fmt.Fprintf(os.Stderr, "interrupted (%v); partial matrix emitted\n", err)
 		if *ckptDir != "" {
 			fmt.Fprintf(os.Stderr, "per-run interrupt checkpoints in %s (resume with hermes-sim -resume <file>)\n", *ckptDir)
 		}
+		stopProfiles()
 		os.Exit(130)
 	}
 }

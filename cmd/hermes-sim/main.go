@@ -81,31 +81,20 @@ func main() {
 		ckptDir      = flag.String("checkpoint-dir", "", "write simulation checkpoints into this directory (resume with -resume)")
 		ckptIvMs     = flag.Int64("checkpoint-interval-ms", 0, "checkpoint every this many milliseconds of simulated time")
 		ckptAtMs     = flag.String("checkpoint-at-ms", "", "comma-separated simulated-time instants (ms) to checkpoint at")
-		cpuProfile   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProfile   = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 		version      = flag.Bool("version", false, "print build version and VCS revision, then exit")
 	)
+	prof := perf.ProfileFlags(flag.CommandLine, "the run")
 	flag.Parse()
-
-	if *cpuProfile != "" {
-		stop, err := perf.StartCPUProfile(*cpuProfile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer stop()
-	}
-	if *memProfile != "" {
-		defer func() {
-			if err := perf.WriteHeapProfile(*memProfile); err != nil {
-				log.Print(err)
-			}
-		}()
-	}
 
 	if *version {
 		fmt.Println(hermes.VersionString())
 		return
 	}
+	stopProfiles, err := prof.Start()
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer stopProfiles()
 
 	if *scenarioName == "list" {
 		fmt.Println("builtin scenarios:", strings.Join(hermes.ScenarioNames(), " "))
@@ -342,7 +331,6 @@ func main() {
 	hermes.SetDefaultRunContext(ctx)
 
 	var res *hermes.Result
-	var err error
 	if *resumePath != "" {
 		res, err = hermes.Restore(*resumePath)
 	} else {
@@ -353,6 +341,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "interrupted at t=%.1fms; checkpoint written to %s\n",
 			float64(ie.Checkpoint.SimTimeNs)/1e6, ie.Checkpoint.Path)
 		fmt.Fprintf(os.Stderr, "resume with: hermes-sim -resume %s\n", ie.Checkpoint.Path)
+		stopProfiles()
 		os.Exit(130)
 	}
 	if err != nil {

@@ -43,29 +43,19 @@ func main() {
 		alertsFile  = flag.String("alerts", "", "alert log JSONL (from hermes-sim/hermes-chaos -alert-log): render each run's episodes and state timeline")
 		ckptFile    = flag.String("checkpoint", "", "checkpoint file or directory (from hermes-sim -checkpoint-dir): print its header, embedded experiment and state-section sizes")
 		width       = flag.Int("width", 64, "chart width in cells")
-		cpuProfile  = flag.String("cpuprofile", "", "write a pprof CPU profile of the analysis to this file")
-		memProfile  = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 		version     = flag.Bool("version", false, "print build version and VCS revision, then exit")
 	)
+	prof := perf.ProfileFlags(flag.CommandLine, "the analysis")
 	flag.Parse()
 	if *version {
 		fmt.Println(hermes.VersionString())
 		return
 	}
-	if *cpuProfile != "" {
-		stop, err := perf.StartCPUProfile(*cpuProfile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer stop()
+	stopProfiles, err := prof.Start()
+	if err != nil {
+		log.Fatal(err)
 	}
-	if *memProfile != "" {
-		defer func() {
-			if err := perf.WriteHeapProfile(*memProfile); err != nil {
-				log.Print(err)
-			}
-		}()
-	}
+	defer stopProfiles()
 	if *ledgerFile != "" {
 		if err := renderPerfLedger(os.Stdout, *ledgerFile, *width); err != nil {
 			log.Fatal(err)
@@ -102,6 +92,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: hermes-trace [flags] trace.jsonl")
 		fmt.Fprintln(os.Stderr, "       hermes-trace -timeline run.ts.jsonl")
 		flag.PrintDefaults()
+		stopProfiles()
 		os.Exit(2)
 	}
 	if *pct < 0 || *pct >= 1 {

@@ -27,7 +27,6 @@ import (
 	"github.com/hermes-repro/hermes/internal/alert"
 	"github.com/hermes-repro/hermes/internal/chaos"
 	"github.com/hermes-repro/hermes/internal/core"
-	"github.com/hermes-repro/hermes/internal/failure"
 	"github.com/hermes-repro/hermes/internal/metrics"
 	"github.com/hermes-repro/hermes/internal/net"
 	"github.com/hermes-repro/hermes/internal/perf"
@@ -174,7 +173,10 @@ const (
 	FailureLeafDown FailureKind = "leaf-down"
 )
 
-// FailureSpec configures the injection.
+// FailureSpec configures the injection. Zero-valued parameters take
+// defaults, and those defaults live in one place: injectorFor (scenario.go)
+// lowers a spec to the chaos injector that both the static Config.Failure
+// and Scenario events apply.
 type FailureSpec struct {
 	Kind FailureKind
 
@@ -498,7 +500,7 @@ func Run(cfg Config) (*Result, error) { return runWith(cfg, nil) }
 // component a snapshot must observe hangs off one value.
 type run struct {
 	cfg      Config
-	spec     FailureSpec
+	failure  chaos.Injector // static Config.Failure, nil if none
 	scenario *Scenario
 
 	st       *Status
@@ -599,18 +601,25 @@ func (r *run) validate() error {
 	}
 	// Timed failure kinds are sugar for a Scenario; lower them here so the
 	// chaos runner is the single code path for everything time-varying.
-	r.spec, r.scenario = cfg.Failure, cfg.Scenario
-	switch r.spec.Kind {
+	// Every other kind lowers to the chaos injector setup applies once.
+	r.scenario = cfg.Scenario
+	switch spec := cfg.Failure; spec.Kind {
+	case FailureNone:
 	case FailureFlap, FailureSpineDown, FailureLeafDown:
 		if r.scenario != nil {
-			return fmt.Errorf("hermes: Failure kind %q is scenario sugar and cannot combine with Config.Scenario; add it as a scenario event instead", r.spec.Kind)
+			return fmt.Errorf("hermes: Failure kind %q is scenario sugar and cannot combine with Config.Scenario; add it as a scenario event instead", spec.Kind)
 		}
-		if r.spec.Kind == FailureFlap {
-			r.scenario = flapScenario(r.spec, cfg.Topology)
+		if spec.Kind == FailureFlap {
+			r.scenario = flapScenario(spec, cfg.Topology)
 		} else {
-			r.scenario = switchDownScenario(r.spec)
+			r.scenario = switchDownScenario(spec)
 		}
-		r.spec = FailureSpec{}
+	default:
+		inj, err := injectorFor(spec, cfg.Topology)
+		if err != nil {
+			return fmt.Errorf("hermes: invalid Failure: %w", err)
+		}
+		r.failure = inj
 	}
 	if cfg.ctx == nil {
 		cfg.ctx = defaultRunContext()
@@ -670,10 +679,17 @@ func (r *run) setup() error {
 	// to the healthy fabric even in asymmetric and failure runs.
 	r.baseBisection = nw.BisectionBps()
 
-	// Topology-shaping failures must precede balancer construction so path
-	// sets and weights see the final fabric.
-	if err := injectTopologyFailure(nw, r.rng, r.spec); err != nil {
-		return err
+	// The static failure must precede balancer construction so path sets
+	// and weights see the final fabric.
+	if r.failure != nil {
+		env := chaos.Env{Net: nw, Rng: r.rng}
+		err := r.failure.Validate(env)
+		if err == nil {
+			err = r.failure.Apply(env)
+		}
+		if err != nil {
+			return fmt.Errorf("hermes: Failure: %w", err)
+		}
 	}
 
 	if cfg.Telemetry {
@@ -784,11 +800,6 @@ func (r *run) setup() error {
 		}
 		// Expose live alerts on the status plane (/api/alerts, ALERTS).
 		r.st.AttachAlerts(r.watchdog, r.runLabel)
-	}
-
-	// Switch-malfunction failures can be installed any time before traffic.
-	if err := injectSwitchFailure(nw, r.rng, r.spec); err != nil {
-		return err
 	}
 
 	// Scenario events ride the engine timeline: inject/clear fire at their
@@ -1178,84 +1189,4 @@ func (r *run) finish() (*Result, error) {
 		sh.Finish(sum, finalVals, finalHists)
 	}
 	return res, nil
-}
-
-func injectTopologyFailure(nw *net.Network, rng *sim.RNG, spec FailureSpec) error {
-	switch spec.Kind {
-	case FailureNone, FailureRandomDrop, FailureBlackhole, FailureSpineBlackhole:
-		return nil
-	case FailureDegrade:
-		frac, bps := spec.Fraction, spec.DegradedBps
-		if frac <= 0 {
-			frac = 0.2
-		}
-		if bps <= 0 {
-			bps = 2_000_000_000
-		}
-		failure.DegradeLinks(nw, rng, frac, bps)
-		return nil
-	case FailureCutLink:
-		failure.CutLink(nw, spec.CutLeaf, spec.CutSpine)
-		return nil
-	case FailureCutCable:
-		cable := spec.CutCable
-		if cable < 0 {
-			cable = 0
-		}
-		failure.CutCable(nw, spec.CutLeaf, spec.CutSpine, cable)
-		return nil
-	case FailureDegradeLink:
-		bps := spec.DegradedBps
-		if bps <= 0 {
-			bps = nw.FabricLinkRate(spec.CutLeaf, spec.CutSpine) / 2
-		}
-		nw.SetFabricLink(spec.CutLeaf, spec.CutSpine, bps)
-		return nil
-	case FailureDegradeSpine:
-		bps := spec.DegradedBps
-		if bps <= 0 {
-			bps = 2_000_000_000
-		}
-		spine := spec.Spine
-		if spine < 0 {
-			spine = rng.Intn(nw.Cfg.Spines)
-		}
-		for l := 0; l < nw.Cfg.Leaves; l++ {
-			nw.SetFabricLink(l, spine, bps)
-		}
-		return nil
-	}
-	return fmt.Errorf("hermes: unknown failure kind %q", spec.Kind)
-}
-
-func injectSwitchFailure(nw *net.Network, rng *sim.RNG, spec FailureSpec) error {
-	pickSpine := func() *net.Switch {
-		if spec.Spine >= 0 && spec.Spine < len(nw.Spines) {
-			return nw.Spines[spec.Spine]
-		}
-		return nw.Spines[rng.Intn(len(nw.Spines))]
-	}
-	switch spec.Kind {
-	case FailureRandomDrop:
-		rate := spec.DropRate
-		if rate <= 0 {
-			rate = 0.02
-		}
-		(&failure.RandomDrop{Spine: pickSpine(), Rate: rate, Rng: rng}).Install()
-	case FailureBlackhole:
-		src, dst := spec.SrcLeaf, spec.DstLeaf
-		if src == dst {
-			src, dst = 0, nw.Cfg.Leaves-1
-		}
-		(&failure.Blackhole{
-			Spine: pickSpine(),
-			Match: failure.RackPairBlackhole(nw, src, dst),
-		}).Install()
-	case FailureSpineBlackhole:
-		(&failure.Blackhole{
-			Spine: pickSpine(),
-			Match: func(src, dst int) bool { return true },
-		}).Install()
-	}
-	return nil
 }

@@ -110,6 +110,80 @@ func TestInjectorApplyRevertCycles(t *testing.T) {
 	}
 }
 
+// TestDegradeFractionCount: a fraction of the leaf-spine links is re-rated,
+// every cable of each picked link, and the rest stay intact.
+func TestDegradeFractionCount(t *testing.T) {
+	env := testEnv(t)
+	d := &DegradeFraction{Fraction: 0.25, Bps: 2e8}
+	if err := d.Apply(env); err != nil {
+		t.Fatal(err)
+	}
+	// 16 fabric links; 25% -> 4 degraded.
+	if len(d.links) != 4 {
+		t.Fatalf("degraded %d links, want 4", len(d.links))
+	}
+	degraded := 0
+	for l := 0; l < 4; l++ {
+		for s := 0; s < 4; s++ {
+			switch got := env.Net.FabricLinkRate(l, s); got {
+			case 4e8: // 2 cables x 2e8
+				degraded++
+			case 2e9:
+			default:
+				t.Errorf("link %d-%d at %d bps, want 4e8 or intact 2e9", l, s, got)
+			}
+		}
+	}
+	if degraded != 4 {
+		t.Fatalf("%d links degraded, want 4", degraded)
+	}
+}
+
+// TestDegradeFractionDeterministic: the same run seed picks the same links.
+func TestDegradeFractionDeterministic(t *testing.T) {
+	pick := func() [][2]int {
+		env := testEnv(t)
+		env.Rng = sim.NewRNG(7)
+		d := &DegradeFraction{Fraction: 0.2, Bps: 2e8}
+		if err := d.Apply(env); err != nil {
+			t.Fatal(err)
+		}
+		return d.links
+	}
+	a, b := pick(), pick()
+	if len(a) != 3 || len(a) != len(b) {
+		t.Fatalf("degraded %d and %d links, want 3 both times", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("same seed degraded different links: %v vs %v", a, b)
+		}
+	}
+}
+
+// TestLinkCutShrinksPaths: cutting a link removes all its cables from the
+// path set between the racks, and revert brings them back.
+func TestLinkCutShrinksPaths(t *testing.T) {
+	env := testEnv(t)
+	if got := len(env.Net.AvailablePaths(1, 0)); got != 8 {
+		t.Fatalf("%d paths before the cut, want 8 (4 spines x 2 cables)", got)
+	}
+	cut := &Link{Leaf: 1, Spine: 2, Bps: 0}
+	if err := cut.Apply(env); err != nil {
+		t.Fatal(err)
+	}
+	if env.Net.FabricLinkRate(1, 2) != 0 {
+		t.Fatal("link not cut")
+	}
+	if got := len(env.Net.AvailablePaths(1, 0)); got != 6 {
+		t.Fatalf("%d paths after the cut, want 6", got)
+	}
+	cut.Revert(env)
+	if got := len(env.Net.AvailablePaths(1, 0)); got != 8 {
+		t.Fatalf("%d paths after revert, want 8", got)
+	}
+}
+
 func TestInjectorValidation(t *testing.T) {
 	env := testEnv(t)
 	bad := []Injector{

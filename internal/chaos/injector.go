@@ -1,7 +1,10 @@
-// Package chaos turns the static failure injectors of internal/failure into
-// a declarative scenario engine: a Scenario is a timeline of events — inject
-// a failure at t1, clear it at t2, repeat a flap every period — over
-// composable injectors that may overlap on the same switch or link. Every
+// Package chaos turns the failure primitives of internal/failure into
+// composable injectors and a declarative scenario engine: a Scenario is a
+// timeline of events — inject a failure at t1, clear it at t2, repeat a flap
+// every period — over injectors that may overlap on the same switch or link.
+// The injectors are the facade's only way to fail the fabric: a static
+// Config.Failure is one injector applied before traffic starts, a scenario
+// drives them from the engine timeline. Every
 // injector snapshots exactly what it changes and restores it on revert, so
 // mid-run recovery is first-class, and all randomness flows through the
 // run's seeded RNG, so a scenario is deterministic per seed. The recovery
@@ -114,6 +117,22 @@ func checkLeaf(env Env, leaf int, kind, field string) error {
 			kind, field, leaf, env.Net.Cfg.Leaves)
 	}
 	return nil
+}
+
+// saveLink snapshots the per-cable rates of one leaf-spine link.
+func saveLink(nw *net.Network, leaf, spine int) []int64 {
+	rates := make([]int64, nw.Cables())
+	for c := range rates {
+		rates[c] = nw.CableRate(leaf, spine, c)
+	}
+	return rates
+}
+
+// restoreLink puts back the per-cable rates saveLink took.
+func restoreLink(nw *net.Network, leaf, spine int, rates []int64) {
+	for c, bps := range rates {
+		nw.SetCable(leaf, spine, c, bps)
+	}
 }
 
 // Blackhole drops traffic between half of the host pairs of a rack pair at
@@ -271,20 +290,12 @@ func (l *Link) Validate(env Env) error {
 }
 
 func (l *Link) Apply(env Env) error {
-	nw := env.Net
-	l.saved = l.saved[:0]
-	for c := 0; c < nw.Cables(); c++ {
-		l.saved = append(l.saved, nw.CableRate(l.Leaf, l.Spine, c))
-	}
-	nw.SetFabricLink(l.Leaf, l.Spine, l.Bps)
+	l.saved = saveLink(env.Net, l.Leaf, l.Spine)
+	env.Net.SetFabricLink(l.Leaf, l.Spine, l.Bps)
 	return nil
 }
 
-func (l *Link) Revert(env Env) {
-	for c, bps := range l.saved {
-		env.Net.SetCable(l.Leaf, l.Spine, c, bps)
-	}
-}
+func (l *Link) Revert(env Env) { restoreLink(env.Net, l.Leaf, l.Spine, l.saved) }
 
 func (l *Link) Scope() Scope {
 	return Scope{Spines: []int{l.Spine}, Leaves: []int{l.Leaf}}
@@ -321,7 +332,7 @@ func (c *CutCable) Validate(env Env) error {
 
 func (c *CutCable) Apply(env Env) error {
 	c.saved = env.Net.CableRate(c.Leaf, c.Spine, c.Cable)
-	env.Net.SetCable(c.Leaf, c.Spine, c.Cable, 0)
+	failure.CutCable(env.Net, c.Leaf, c.Spine, c.Cable)
 	return nil
 }
 
@@ -369,12 +380,8 @@ func (d *DegradeFraction) Apply(env Env) error {
 	d.saved = d.saved[:0]
 	for i := 0; i < n; i++ {
 		l, s := perm[i]/nw.Cfg.Spines, perm[i]%nw.Cfg.Spines
-		rates := make([]int64, nw.Cables())
-		for c := range rates {
-			rates[c] = nw.CableRate(l, s, c)
-		}
 		d.links = append(d.links, [2]int{l, s})
-		d.saved = append(d.saved, rates)
+		d.saved = append(d.saved, saveLink(nw, l, s))
 		nw.SetFabricLink(l, s, d.Bps)
 	}
 	return nil
@@ -382,9 +389,7 @@ func (d *DegradeFraction) Apply(env Env) error {
 
 func (d *DegradeFraction) Revert(env Env) {
 	for i, lk := range d.links {
-		for c, bps := range d.saved[i] {
-			env.Net.SetCable(lk[0], lk[1], c, bps)
-		}
+		restoreLink(env.Net, lk[0], lk[1], d.saved[i])
 	}
 }
 
@@ -438,11 +443,7 @@ func (d *DegradeSpine) Apply(env Env) error {
 	d.spine = pickSpine(env, d.Spine)
 	d.saved = d.saved[:0]
 	for l := 0; l < nw.Cfg.Leaves; l++ {
-		rates := make([]int64, nw.Cables())
-		for c := range rates {
-			rates[c] = nw.CableRate(l, d.spine, c)
-		}
-		d.saved = append(d.saved, rates)
+		d.saved = append(d.saved, saveLink(nw, l, d.spine))
 		nw.SetFabricLink(l, d.spine, d.Bps)
 	}
 	return nil
@@ -450,9 +451,7 @@ func (d *DegradeSpine) Apply(env Env) error {
 
 func (d *DegradeSpine) Revert(env Env) {
 	for l, rates := range d.saved {
-		for c, bps := range rates {
-			env.Net.SetCable(l, d.spine, c, bps)
-		}
+		restoreLink(env.Net, l, d.spine, rates)
 	}
 }
 
@@ -506,22 +505,14 @@ func (s *SwitchDown) Apply(env Env) error {
 		}
 		sw = nw.Leaves[s.index]
 		for sp := 0; sp < nw.Cfg.Spines; sp++ {
-			rates := make([]int64, nw.Cables())
-			for c := range rates {
-				rates[c] = nw.CableRate(s.index, sp, c)
-			}
-			s.saved = append(s.saved, rates)
+			s.saved = append(s.saved, saveLink(nw, s.index, sp))
 			nw.SetFabricLink(s.index, sp, 0)
 		}
 	} else {
 		s.index = pickSpine(env, s.Index)
 		sw = nw.Spines[s.index]
 		for l := 0; l < nw.Cfg.Leaves; l++ {
-			rates := make([]int64, nw.Cables())
-			for c := range rates {
-				rates[c] = nw.CableRate(l, s.index, c)
-			}
-			s.saved = append(s.saved, rates)
+			s.saved = append(s.saved, saveLink(nw, l, s.index))
 			nw.SetFabricLink(l, s.index, 0)
 		}
 	}
@@ -534,17 +525,13 @@ func (s *SwitchDown) Revert(env Env) {
 	if s.Leaf {
 		nw.Leaves[s.index].RemoveDropFn(s.hook)
 		for sp, rates := range s.saved {
-			for c, bps := range rates {
-				nw.SetCable(s.index, sp, c, bps)
-			}
+			restoreLink(nw, s.index, sp, rates)
 		}
 		return
 	}
 	nw.Spines[s.index].RemoveDropFn(s.hook)
 	for l, rates := range s.saved {
-		for c, bps := range rates {
-			nw.SetCable(l, s.index, c, bps)
-		}
+		restoreLink(nw, l, s.index, rates)
 	}
 }
 

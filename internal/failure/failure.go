@@ -1,8 +1,11 @@
-// Package failure injects the switch malfunctions of §2.1: silent random
-// packet drops and deterministic packet blackholes at a core (spine) switch,
-// plus link degradation helpers for asymmetric topologies. Injectors
-// register through the switch's drop-hook chain, so several can coexist on
-// one switch; timed onset/clear sequencing lives in internal/chaos.
+// Package failure holds the primitives beneath internal/chaos: the switch
+// malfunctions of §2.1 (silent random packet drops and deterministic packet
+// blackholes at a core switch) as drop hooks, and the testbed cable cut.
+// Hooks register through the switch's drop-hook chain, so several can
+// coexist on one switch. The facade never calls this package directly: every
+// failure, static or timed, reaches the fabric through a chaos injector,
+// which adds parameter defaulting, snapshot/restore and onset/clear
+// sequencing.
 package failure
 
 import (
@@ -105,33 +108,6 @@ func RackPairBlackhole(nw *net.Network, srcLeaf, dstLeaf int) func(src, dst int)
 		}
 		return (s+d)%2 == 0
 	}
-}
-
-// DegradeLinks reduces the capacity of a fraction of randomly selected
-// leaf-to-spine links to degradedBps (the §5.3.2 asymmetry: 20% of links at
-// 2 Gbps). It returns the degraded (leaf, spine) pairs.
-func DegradeLinks(nw *net.Network, rng *sim.RNG, fraction float64, degradedBps int64) [][2]int {
-	type link struct{ l, s int }
-	var all []link
-	for l := 0; l < nw.Cfg.Leaves; l++ {
-		for s := 0; s < nw.Cfg.Spines; s++ {
-			all = append(all, link{l, s})
-		}
-	}
-	n := int(fraction * float64(len(all)))
-	perm := rng.Perm(len(all))
-	var out [][2]int
-	for i := 0; i < n; i++ {
-		lk := all[perm[i]]
-		nw.SetFabricLink(lk.l, lk.s, degradedBps)
-		out = append(out, [2]int{lk.l, lk.s})
-	}
-	return out
-}
-
-// CutLink removes a leaf-spine link (all parallel cables) entirely.
-func CutLink(nw *net.Network, leaf, spine int) {
-	nw.SetFabricLink(leaf, spine, 0)
 }
 
 // CutCable removes one physical cable of a leaf-spine link — the paper's

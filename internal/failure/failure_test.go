@@ -163,47 +163,3 @@ func TestUninstallIsIdempotentAndOrderIndependent(t *testing.T) {
 		t.Fatalf("DropFnCount = %d, want 0", got)
 	}
 }
-
-func TestDegradeLinks(t *testing.T) {
-	nw := testNet(t)
-	degraded := DegradeLinks(nw, sim.NewRNG(3), 0.25, 2e9)
-	// 16 fabric links; 25% -> 4 degraded.
-	if len(degraded) != 4 {
-		t.Fatalf("degraded %d links, want 4", len(degraded))
-	}
-	count := 0
-	for l := 0; l < 4; l++ {
-		for s := 0; s < 4; s++ {
-			if nw.FabricLinkRate(l, s) == 2e9 {
-				count++
-			}
-		}
-	}
-	if count != 4 {
-		t.Fatalf("%d links at 2 Gbps, want 4", count)
-	}
-}
-
-func TestDegradeLinksDeterministic(t *testing.T) {
-	a := DegradeLinks(testNet(t), sim.NewRNG(7), 0.2, 2e9)
-	b := DegradeLinks(testNet(t), sim.NewRNG(7), 0.2, 2e9)
-	if len(a) != len(b) {
-		t.Fatal("same seed degraded different link counts")
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("same seed degraded different links")
-		}
-	}
-}
-
-func TestCutLink(t *testing.T) {
-	nw := testNet(t)
-	CutLink(nw, 1, 2)
-	if nw.FabricLinkRate(1, 2) != 0 {
-		t.Fatal("link not cut")
-	}
-	if len(nw.AvailablePaths(1, 0)) != 3 {
-		t.Fatal("path set not updated after cut")
-	}
-}

@@ -1,35 +1,66 @@
 package perf
 
 import (
+	"flag"
 	"fmt"
+	"log"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"sync"
 )
 
-// StartCPUProfile opens path and starts the CPU profiler, returning a stop
-// function that flushes and closes the file. It is the one implementation
-// behind every CLI's -cpuprofile flag so the open/defer-close handling
-// cannot drift between binaries.
-func StartCPUProfile(path string) (stop func(), err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("cpuprofile: %w", err)
-	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("cpuprofile: %w", err)
-	}
-	return func() {
-		pprof.StopCPUProfile()
-		f.Close()
-	}, nil
+// Profiles is the -cpuprofile/-memprofile flag pair every CLI shares, so
+// the open/flush/close handling cannot drift between binaries.
+type Profiles struct {
+	cpuPath, memPath *string
+	cpuFile          *os.File
+	once             sync.Once
 }
 
-// WriteHeapProfile runs a GC (so the profile reflects live objects, not
-// garbage awaiting collection) and writes the heap profile to path. Behind
-// every CLI's -memprofile flag.
-func WriteHeapProfile(path string) error {
+// ProfileFlags registers -cpuprofile and -memprofile on fs; what names the
+// profiled work in the usage text ("the run"). Call Start after fs.Parse.
+func ProfileFlags(fs *flag.FlagSet, what string) *Profiles {
+	return &Profiles{
+		cpuPath: fs.String("cpuprofile", "", "write a pprof CPU profile of "+what+" to this file"),
+		memPath: fs.String("memprofile", "", "write a pprof heap profile at exit to this file"),
+	}
+}
+
+// Start begins the CPU profile if -cpuprofile is set and returns the stop
+// func that flushes it and writes the -memprofile heap profile. Stop is
+// idempotent: defer it, and also call it before any os.Exit, which skips
+// deferred calls.
+func (p *Profiles) Start() (stop func(), err error) {
+	if *p.cpuPath != "" {
+		if p.cpuFile, err = os.Create(*p.cpuPath); err != nil {
+			return nil, fmt.Errorf("cpuprofile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(p.cpuFile); err != nil {
+			p.cpuFile.Close()
+			return nil, fmt.Errorf("cpuprofile: %w", err)
+		}
+	}
+	return func() { p.once.Do(p.stop) }, nil
+}
+
+func (p *Profiles) stop() {
+	if p.cpuFile != nil {
+		pprof.StopCPUProfile()
+		if err := p.cpuFile.Close(); err != nil {
+			log.Printf("cpuprofile: %v", err)
+		}
+	}
+	if *p.memPath != "" {
+		if err := writeHeapProfile(*p.memPath); err != nil {
+			log.Print(err)
+		}
+	}
+}
+
+// writeHeapProfile runs a GC (so the profile reflects live objects, not
+// garbage awaiting collection) and writes the heap profile to path.
+func writeHeapProfile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("memprofile: %w", err)

@@ -47,8 +47,8 @@ type Scenario struct {
 	Events []ScenarioEvent `json:"events"`
 }
 
-// toChaos lowers the JSON-able scenario to chaos injectors, applying the
-// same parameter defaulting as the static failure path. Injector instances
+// toChaos lowers the JSON-able scenario to chaos injectors through
+// injectorFor, like the static Config.Failure. Injector instances
 // are freshly built per call, so one Scenario value is safe to share across
 // RunParallel seeds.
 func (s *Scenario) toChaos(topo Topology) (*chaos.Scenario, error) {
@@ -74,8 +74,10 @@ func (s *Scenario) toChaos(topo Topology) (*chaos.Scenario, error) {
 	return out, nil
 }
 
-// injectorFor builds the chaos injector for one failure spec, applying the
-// facade's defaulting rules (zero rate -> 2%, same racks -> first/last...).
+// injectorFor builds the chaos injector for one failure spec. It is the
+// only place a FailureSpec is defaulted (zero rate -> 2%, same racks ->
+// first/last, zero degrade-link rate -> half the per-cable rate...), for the
+// static Config.Failure and Scenario events alike.
 func injectorFor(spec FailureSpec, topo Topology) (chaos.Injector, error) {
 	switch spec.Kind {
 	case FailureRandomDrop:
