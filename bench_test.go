@@ -297,7 +297,7 @@ func BenchmarkAblationCaution(b *testing.B) {
 // BenchmarkTelemetryOff vs BenchmarkTelemetryOn quantify the observability
 // tax. With telemetry off every hook is a nil check, so Off must track the
 // pre-instrumentation baseline (<2% on events/s); the Off/On gap bounds the
-// full registry + sweeper + audit cost.
+// full registry + report series + audit cost.
 func BenchmarkTelemetryOff(b *testing.B) {
 	benchRun(b, Config{
 		Topology: benchTopo(), Scheme: SchemeHermes, Workload: "web-search",

@@ -58,7 +58,7 @@ func main() {
 		jsonOut      = flag.Bool("json", false, "emit JSON instead of text")
 		traceFile    = flag.String("trace", "", "write per-flow JSONL trace to this file (analyze with hermes-trace)")
 		perfettoFile = flag.String("perfetto", "", "write the trace as Chrome trace-event JSON (open in ui.perfetto.dev)")
-		telem        = flag.Bool("telemetry", false, "enable the telemetry registry, sweeper and audit log")
+		telem        = flag.Bool("telemetry", false, "enable the telemetry registry, report series and audit log")
 		reportFile   = flag.String("report", "", "write the full run report here (.csv = CSV, else JSON; implies -telemetry)")
 		auditFile    = flag.String("audit", "", "write the Hermes decision audit log as JSONL (implies -telemetry)")
 		sweepUs      = flag.Int64("sweep-us", 1000, "telemetry sweep interval in microseconds")

@@ -143,3 +143,19 @@ func TestDegradeLinkDefaultRate(t *testing.T) {
 		}
 	}
 }
+
+// TestFlapCutsBusyPort pins the mid-run cut of a link whose port is still
+// transmitting with packets queued behind: the queue drains as down-link
+// drops (it used to divide by the cut link's zero rate) and the
+// conservation ledger stays clean.
+func TestFlapCutsBusyPort(t *testing.T) {
+	res := mustRun(t, Config{
+		Topology: TestbedTopology(), Scheme: SchemeECMP,
+		Workload: "web-search", Load: 0.5, Flows: 30, Seed: 5,
+		Failure: FailureSpec{Kind: FailureFlap, CutLeaf: 0, CutSpine: 1, FlapPeriodNs: 20e6},
+		Checks:  true,
+	})
+	if res.FCT.Overall.Count == 0 {
+		t.Fatal("no flow completed under the flap")
+	}
+}

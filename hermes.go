@@ -287,9 +287,9 @@ type Config struct {
 	// (omitempty keeps reports from runs without the harness byte-stable.)
 	Checks bool `json:",omitempty"`
 
-	// Telemetry enables the run-wide metric registry, the periodic sweeper
-	// and the Hermes decision audit log (Result.Telemetry). Off by default;
-	// the instrumented hot paths then cost one nil check each.
+	// Telemetry enables the run-wide metric registry, its periodic report
+	// series and the Hermes decision audit log (Result.Telemetry). Off by
+	// default; the instrumented hot paths then cost one nil check each.
 	Telemetry bool
 	// TelemetryIntervalNs is the sweep period in virtual nanoseconds
 	// (0 = 1 ms).
@@ -432,7 +432,7 @@ type Result struct {
 	GoodputGbps       float64
 	FabricUtilization float64
 
-	// Telemetry holds the live registry, sweeper and audit log when
+	// Telemetry holds the live registry, report series and audit log when
 	// Config.Telemetry was set (nil otherwise). Use BuildReport to turn it
 	// into a serializable Report.
 	Telemetry *telemetry.RunData `json:"-"`
@@ -694,8 +694,8 @@ func (r *run) setup() error {
 
 	if cfg.Telemetry {
 		r.rd = telemetry.NewRunData(eng, sim.Time(cfg.TelemetryIntervalNs), cfg.AuditMaxEntries)
-		nw.AttachTelemetry(r.rd.Registry)
 	}
+	reg := registryOf(r.rd)
 
 	wantFlight := cfg.TimeSeries || cfg.TimeSeriesWriter != nil || cfg.TimeSeriesCSV != nil ||
 		r.scenario != nil || cfg.Alerts != nil
@@ -710,7 +710,9 @@ func (r *run) setup() error {
 		}
 		r.flight = timeseries.NewRecorder(eng,
 			sim.Time(cfg.TimeSeriesIntervalNs), tsCap, 0)
-		nw.AttachFlightRecorder(r.flight)
+	}
+	nw.AttachObservability(reg, r.flight)
+	if r.flight != nil {
 		// Expose the live recording on the status plane (/api/series).
 		r.st.AttachFlight(r.flight, r.runLabel)
 		if cfg.Perf != nil {
@@ -780,10 +782,7 @@ func (r *run) setup() error {
 		)
 	}
 	r.tr = transport.New(nw, opts, r.w.balancerFor)
-	if r.rd != nil {
-		r.tr.AttachTelemetry(r.rd.Registry)
-	}
-	r.tr.AttachFlightRecorder(r.flight)
+	r.tr.AttachObservability(reg, r.flight)
 	r.w.afterTransport(nw, r.rng)
 
 	// SLO watchdog: rules evaluate on the recorder's sample boundaries.
@@ -839,7 +838,7 @@ func (r *run) setup() error {
 	r.installStartHooks()
 	r.gen.Start()
 	if r.rd != nil {
-		r.rd.Sweeper.Start()
+		r.rd.Series.Start()
 	}
 	if !r.flightLate {
 		r.flight.Start()
@@ -1047,8 +1046,8 @@ func (r *run) finish() (*Result, error) {
 	if rd != nil {
 		// Stop sweeping and take one final snapshot so every counter's end
 		// state appears in the last series sample.
-		rd.Sweeper.Stop()
-		rd.Sweeper.Snap()
+		rd.Series.Stop()
+		rd.Series.Snap()
 		res.Telemetry = rd
 	}
 	if flight != nil {

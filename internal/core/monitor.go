@@ -185,7 +185,7 @@ func (m *Monitor) ScanTransitions(cause string) {
 func (m *Monitor) State(dstLeaf, path int) *PathState { return m.paths[dstLeaf][path] }
 
 // PathCensus classifies every (dstLeaf, path) pair this monitor tracks and
-// returns the counts per verdict — the sweeper samples this into the
+// returns the counts per verdict — the recorders sample this into the
 // good/gray/congested/failed time series.
 func (m *Monitor) PathCensus() (good, gray, congested, failed int) {
 	for d := range m.paths {

@@ -6,6 +6,7 @@ import (
 	"github.com/hermes-repro/hermes/internal/lb"
 	"github.com/hermes-repro/hermes/internal/net"
 	"github.com/hermes-repro/hermes/internal/sim"
+	"github.com/hermes-repro/hermes/internal/timeseries"
 	"github.com/hermes-repro/hermes/internal/transport"
 )
 
@@ -46,28 +47,48 @@ func checkQueueSamples(t *testing.T, qs *QueueSampler, interval sim.Time) {
 	}
 }
 
-func checkThroughputSamples(t *testing.T, ts *ThroughputSampler, maxGbps float64, interval sim.Time) {
+// txRate samples the port's transmit rate in Gbps once per interval on a
+// flight recorder, the way the fabric-wide net.tx_gbps series does.
+func txRate(eng *sim.Engine, port *net.Port, interval sim.Time) *timeseries.Recorder {
+	rec := timeseries.NewRecorder(eng, interval, 0, 0)
+	var last uint64
+	rec.Register("gbps", func() float64 {
+		d := port.TxBytes - last
+		last = port.TxBytes
+		return float64(d) * 8 / float64(interval)
+	})
+	rec.Start()
+	return rec
+}
+
+func checkThroughputSamples(t *testing.T, rec *timeseries.Recorder, maxGbps float64, interval sim.Time) []float64 {
 	t.Helper()
-	if len(ts.Samples) == 0 {
-		t.Fatal("throughput sampler recorded nothing")
+	times, gbps := rec.Times(), rec.Series("gbps")
+	if len(gbps) == 0 {
+		t.Fatal("throughput probe recorded nothing")
 	}
 	// A packet whose transmission starts right at a window boundary is
 	// charged to that window whole, so allow one wire packet of slack.
 	slack := float64((net.MSS+net.HeaderBytes)*8) / float64(interval)
-	for i, s := range ts.Samples {
+	var sum float64
+	for i, g := range gbps {
 		// TxBytes is cumulative, so a negative rate would mean the counter
 		// ran backwards.
-		if s.Gbps < 0 {
-			t.Fatalf("sample %d: negative goodput %f", i, s.Gbps)
+		if g < 0 {
+			t.Fatalf("sample %d: negative goodput %f", i, g)
 		}
-		if s.Gbps > maxGbps+slack {
-			t.Fatalf("sample %d: %f Gbps exceeds line rate %f", i, s.Gbps, maxGbps)
+		if g > maxGbps+slack {
+			t.Fatalf("sample %d: %f Gbps exceeds line rate %f", i, g, maxGbps)
 		}
-		if i > 0 && s.At != ts.Samples[i-1].At+interval {
-			t.Fatalf("sample %d: timestamp %d not one interval after %d",
-				i, s.At, ts.Samples[i-1].At)
+		if i > 0 && times[i] != times[i-1]+int64(interval) {
+			t.Fatalf("sample %d: timestamp %d not one interval after %d", i, times[i], times[i-1])
 		}
+		sum += g
 	}
+	if sum <= 0 {
+		t.Fatal("no traffic ever crossed the sampled port")
+	}
+	return gbps
 }
 
 func TestSamplersUnderLinkCut(t *testing.T) {
@@ -75,9 +96,8 @@ func TestSamplersUnderLinkCut(t *testing.T) {
 	port := nw.UplinkPort(0, 0) // leaf0 -> spine0, the link we will cut
 	const interval = 50 * sim.Microsecond
 	qs := &QueueSampler{Port: port, Interval: interval}
-	ts := &ThroughputSampler{Port: port, Interval: interval}
 	qs.Start(eng)
-	ts.Start(eng)
+	ts := txRate(eng, port, interval)
 
 	// Keep both uplinks busy with long cross-rack flows in both directions.
 	for i := 0; i < 4; i++ {
@@ -89,19 +109,15 @@ func TestSamplersUnderLinkCut(t *testing.T) {
 	ts.Stop()
 
 	checkQueueSamples(t, qs, interval)
-	checkThroughputSamples(t, ts, 1.0, interval)
-	if ts.MeanGbps() <= 0 {
-		t.Fatal("no traffic ever crossed the sampled port")
-	}
+	gbps := checkThroughputSamples(t, ts, 1.0, interval)
 	// The dead link stops transmitting: the tail of both series must go
 	// flat at zero (drained queue, zero rate).
 	tailQ := qs.Samples[len(qs.Samples)-1]
-	tailT := ts.Samples[len(ts.Samples)-1]
 	if tailQ.Bytes != 0 {
 		t.Fatalf("cut port still queues %d bytes at run end", tailQ.Bytes)
 	}
-	if tailT.Gbps != 0 {
-		t.Fatalf("cut port still transmits %f Gbps at run end", tailT.Gbps)
+	if tail := gbps[len(gbps)-1]; tail != 0 {
+		t.Fatalf("cut port still transmits %f Gbps at run end", tail)
 	}
 }
 
@@ -110,9 +126,8 @@ func TestSamplersUnderDegradation(t *testing.T) {
 	port := nw.UplinkPort(0, 0)
 	const interval = 50 * sim.Microsecond
 	qs := &QueueSampler{Port: port, Interval: interval}
-	ts := &ThroughputSampler{Port: port, Interval: interval}
 	qs.Start(eng)
-	ts.Start(eng)
+	ts := txRate(eng, port, interval)
 
 	for i := 0; i < 4; i++ {
 		tr.StartFlow(i%2, 2+i%2, 4_000_000)
@@ -124,17 +139,13 @@ func TestSamplersUnderDegradation(t *testing.T) {
 	ts.Stop()
 
 	checkQueueSamples(t, qs, interval)
-	checkThroughputSamples(t, ts, 1.0, interval) // bound: pre-degrade line rate
-	if ts.MeanGbps() <= 0 {
-		t.Fatal("no traffic ever crossed the sampled port")
-	}
+	gbps := checkThroughputSamples(t, ts, 1.0, interval) // bound: pre-degrade line rate
 	// After degradation the port can never exceed the new rate; check the
 	// tail half of the series against it.
 	slack := float64((net.MSS+net.HeaderBytes)*8) / float64(interval)
-	half := len(ts.Samples) / 2
-	for _, s := range ts.Samples[half:] {
-		if s.Gbps > 0.1+slack {
-			t.Fatalf("degraded port transmitted %f Gbps after re-rate", s.Gbps)
+	for _, g := range gbps[len(gbps)/2:] {
+		if g > 0.1+slack {
+			t.Fatalf("degraded port transmitted %f Gbps after re-rate", g)
 		}
 	}
 }

@@ -264,6 +264,16 @@ func (p *Port) drop(pkt *Packet) {
 func (p *Port) Holding() int64 { return p.holding }
 
 func (p *Port) transmitNext() {
+	if p.Down() {
+		// The link was cut mid-transmission: whatever still waits behind
+		// the departed packet dies as down-link drops, as a later Enqueue
+		// would.
+		p.dropQueued(&p.hi)
+		p.dropQueued(&p.lo)
+		p.hiBytes, p.loBytes = 0, 0
+		p.busy = false
+		return
+	}
 	var pkt *Packet
 	switch {
 	case p.hi.n > 0:
@@ -297,6 +307,15 @@ func (p *Port) transmitNext() {
 	// Pre-bound callbacks keep the two hottest scheduling sites in the whole
 	// simulator free of closure allocations.
 	p.eng.ScheduleCallKind(txTime, sim.KindPortTx, portTxDone, p, pkt)
+}
+
+// dropQueued discards every packet in q as a down-link drop.
+func (p *Port) dropQueued(q *pktRing) {
+	for q.n > 0 {
+		p.Drops++
+		p.holding--
+		p.drop(q.pop())
+	}
 }
 
 // portTxDone fires when a packet's last bit leaves the transmitter: start

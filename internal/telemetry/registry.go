@@ -1,11 +1,12 @@
 // Package telemetry is the fabric-wide observability layer: a registry of
-// named, labelled counters/gauges/histograms fed by instrumentation hooks in
-// net, transport and core; a periodic simulation-time Sweeper that snapshots
-// the registry into time series; a Hermes decision AuditLog; and a Report
-// that serializes a full run to JSON, CSV and human-readable text.
+// named, labelled counters, pull gauges and histograms fed by
+// instrumentation hooks in net, transport and core; the run's report series,
+// one timeseries.Recorder that samples every registry metric on the
+// simulation clock; a Hermes decision AuditLog; and a Report that serializes
+// a full run to JSON, CSV and human-readable text.
 //
 // Every instrument is nil-safe: a nil *Registry hands out nil instruments,
-// and calling Inc/Add/Set/Observe on a nil instrument is a no-op. Hot paths
+// and calling Inc/Add/Observe on a nil instrument is a no-op. Hot paths
 // therefore hold plain instrument pointers and pay only a nil check when
 // telemetry is disabled.
 package telemetry
@@ -13,6 +14,8 @@ package telemetry
 import (
 	"sort"
 	"strings"
+
+	"github.com/hermes-repro/hermes/internal/timeseries"
 )
 
 // Counter is a monotonically increasing metric.
@@ -38,31 +41,6 @@ func (c *Counter) Value() float64 {
 		return 0
 	}
 	return c.v
-}
-
-// Gauge is a metric that can move in both directions.
-type Gauge struct{ v float64 }
-
-// Set overwrites the gauge value.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.v = v
-	}
-}
-
-// Add shifts the gauge by delta.
-func (g *Gauge) Add(delta float64) {
-	if g != nil {
-		g.v += delta
-	}
-}
-
-// Value returns the current value (0 for a nil gauge).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
 }
 
 // Histogram accumulates observations into fixed upper-bound buckets plus
@@ -144,19 +122,29 @@ func (h *Histogram) Stats() HistogramStats {
 // snapshots.
 type Registry struct {
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	funcs    map[string]func() float64
-	hists    map[string]*Histogram
+	// reads holds the read function of every counter and gauge function by
+	// key: what Values evaluates and series samples.
+	reads map[string]func() float64
+	hists map[string]*Histogram
+
+	// series, when set, samples every metric registered from then on; see
+	// RunData.Series.
+	series *timeseries.Recorder
 }
 
 // NewRegistry returns an empty enabled registry.
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
-		funcs:    map[string]func() float64{},
+		reads:    map[string]func() float64{},
 		hists:    map[string]*Histogram{},
 	}
+}
+
+// sample makes key visible to Values and the series recorder.
+func (r *Registry) sample(key string, fn func() float64) {
+	r.reads[key] = fn
+	r.series.Register(key, fn)
 }
 
 // Key renders a metric identity as name{k=v,...} with label pairs sorted by
@@ -197,22 +185,9 @@ func (r *Registry) Counter(name string, labels ...string) *Counter {
 	if !ok {
 		c = &Counter{}
 		r.counters[k] = c
+		r.sample(k, c.Value)
 	}
 	return c
-}
-
-// Gauge returns the gauge for (name, labels), creating it on first use.
-func (r *Registry) Gauge(name string, labels ...string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	k := Key(name, labels...)
-	g, ok := r.gauges[k]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[k] = g
-	}
-	return g
 }
 
 // GaugeFunc registers a pull-style gauge evaluated at snapshot time — the
@@ -222,7 +197,15 @@ func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...string) {
 	if r == nil || fn == nil {
 		return
 	}
-	r.funcs[Key(name, labels...)] = fn
+	r.sample(Key(name, labels...), fn)
+}
+
+// Share registers fn under key on both sinks that sample metrics: as a
+// gauge function on reg and as a probe on rec. Either may be nil. fn must be
+// a pure read, since both sinks and Values call it.
+func Share(reg *Registry, rec *timeseries.Recorder, key string, fn func() float64) {
+	reg.GaugeFunc(key, fn)
+	rec.Register(key, fn)
 }
 
 // Histogram returns the histogram for (name, labels) with the given sorted
@@ -244,27 +227,21 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...string) *H
 	return h
 }
 
-// Values evaluates every counter, gauge and gauge function into a flat map.
+// Values evaluates every counter and gauge function into a flat map.
 // Functions are evaluated in sorted-key order so any side effects (there
 // should be none) are deterministic.
 func (r *Registry) Values() map[string]float64 {
 	if r == nil {
 		return nil
 	}
-	out := make(map[string]float64, len(r.counters)+len(r.gauges)+len(r.funcs))
-	for k, c := range r.counters {
-		out[k] = c.v
-	}
-	for k, g := range r.gauges {
-		out[k] = g.v
-	}
-	keys := make([]string, 0, len(r.funcs))
-	for k := range r.funcs {
+	keys := make([]string, 0, len(r.reads))
+	for k := range r.reads {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	out := make(map[string]float64, len(keys))
 	for _, k := range keys {
-		out[k] = r.funcs[k]()
+		out[k] = r.reads[k]()
 	}
 	return out
 }

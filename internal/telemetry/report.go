@@ -9,6 +9,7 @@ import (
 
 	"github.com/hermes-repro/hermes/internal/sim"
 	"github.com/hermes-repro/hermes/internal/textplot"
+	"github.com/hermes-repro/hermes/internal/timeseries"
 )
 
 // ReportSchema identifies the report layout; bump on breaking changes. The
@@ -78,24 +79,32 @@ type Report struct {
 }
 
 // RunData bundles the live telemetry objects of one run: the registry the
-// instrumentation writes to, the sweeper that snapshots it, and the Hermes
-// decision audit log. A nil *RunData is the disabled state.
+// instrumentation writes to, the recorder that samples it into the report's
+// series, and the Hermes decision audit log. A nil *RunData is the disabled
+// state.
 type RunData struct {
 	Registry *Registry
-	Sweeper  *Sweeper
-	Audit    *AuditLog
+	// Series samples every registry metric once per interval, unbounded: a
+	// metric registered mid-run is zero-backfilled over the earlier sweeps.
+	Series *timeseries.Recorder
+	Audit  *AuditLog
 }
 
+// DefaultSweepInterval is the report series period when none is configured.
+const DefaultSweepInterval = sim.Millisecond
+
 // NewRunData builds an enabled telemetry bundle on the given engine.
-// interval <= 0 picks the default sweep period; auditMax <= 0 the default
-// audit cap.
+// interval <= 0 picks DefaultSweepInterval; auditMax <= 0 the default audit
+// cap.
 func NewRunData(eng *sim.Engine, interval sim.Time, auditMax int) *RunData {
-	reg := NewRegistry()
-	return &RunData{
-		Registry: reg,
-		Sweeper:  &Sweeper{Reg: reg, Eng: eng, Interval: interval},
-		Audit:    NewAuditLog(auditMax),
+	if interval <= 0 {
+		interval = DefaultSweepInterval
 	}
+	// Cap 0 keeps every sweep; NewRecorder would ring-cap the report.
+	series := &timeseries.Recorder{Eng: eng, Interval: interval}
+	reg := NewRegistry()
+	reg.series = series
+	return &RunData{Registry: reg, Series: series, Audit: NewAuditLog(auditMax)}
 }
 
 // Fill copies counter totals, histograms, time series and the audit summary
@@ -111,10 +120,9 @@ func (rd *RunData) Fill(rep *Report) {
 		rep.Counters[k] = v
 	}
 	rep.Histograms = rd.Registry.Histograms()
-	rep.SeriesTimesNs = rd.Sweeper.Times()
-	cols := rd.Sweeper.Series()
-	for _, name := range rd.Sweeper.SeriesNames() {
-		rep.Series = append(rep.Series, Series{Name: name, Values: cols[name]})
+	rep.SeriesTimesNs = rd.Series.Times()
+	for _, name := range rd.Series.Names() {
+		rep.Series = append(rep.Series, Series{Name: name, Values: rd.Series.Series(name)})
 	}
 	rep.Audit = rd.Audit.Summary()
 }

@@ -6,20 +6,18 @@ import (
 	"testing"
 
 	"github.com/hermes-repro/hermes/internal/sim"
+	"github.com/hermes-repro/hermes/internal/timeseries"
 )
 
 func TestNilSafety(t *testing.T) {
 	var reg *Registry
 	c := reg.Counter("x")
-	g := reg.Gauge("y")
 	h := reg.Histogram("z", []float64{1, 2})
 	reg.GaugeFunc("f", func() float64 { return 1 })
 	c.Inc()
 	c.Add(5)
-	g.Set(3)
-	g.Add(1)
 	h.Observe(1.5)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
+	if c.Value() != 0 || h.Count() != 0 {
 		t.Fatal("nil instruments must be inert")
 	}
 	if reg.Values() != nil || reg.Histograms() != nil {
@@ -31,12 +29,11 @@ func TestNilSafety(t *testing.T) {
 	if log.Len() != 0 || log.Dropped() != 0 {
 		t.Fatal("nil audit log must be inert")
 	}
-	var sw *Sweeper
-	sw.Start()
-	sw.Stop()
-	sw.Snap()
-	if sw.Times() != nil {
-		t.Fatal("nil sweeper must be inert")
+	var rd *RunData
+	rep := &Report{}
+	rd.Fill(rep)
+	if rep.Counters != nil || rep.Series != nil {
+		t.Fatal("nil run data must fill nothing")
 	}
 }
 
@@ -81,21 +78,19 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
-func TestSweeperSeries(t *testing.T) {
+func TestRunDataSeries(t *testing.T) {
 	eng := sim.NewEngine()
-	reg := NewRegistry()
-	c := reg.Counter("events")
-	sw := &Sweeper{Reg: reg, Eng: eng, Interval: sim.Millisecond}
-	sw.Start()
+	rd := NewRunData(eng, sim.Millisecond, 0)
+	c := rd.Registry.Counter("events")
+	rd.Series.Start()
 	eng.Schedule(500*sim.Microsecond, func() { c.Add(3) })
 	eng.Schedule(1500*sim.Microsecond, func() { c.Add(4) })
 	eng.Run(3500 * sim.Microsecond)
-	sw.Stop()
-	times := sw.Times()
-	if len(times) != 3 {
-		t.Fatalf("sweeps = %d, want 3", len(times))
+	rd.Series.Stop()
+	if n := len(rd.Series.Times()); n != 3 {
+		t.Fatalf("sweeps = %d, want 3", n)
 	}
-	got := sw.Series()["events"]
+	got := rd.Series.Series("events")
 	want := []float64{3, 7, 7}
 	for i := range want {
 		if got[i] != want[i] {
@@ -103,50 +98,55 @@ func TestSweeperSeries(t *testing.T) {
 		}
 	}
 	// A metric registered after the first sweep gets zero-backfilled.
-	late := reg.Counter("late")
+	late := rd.Registry.Counter("late")
 	late.Inc()
-	sw.Snap()
-	ls := sw.Series()["late"]
+	rd.Series.Snap()
+	ls := rd.Series.Series("late")
 	if len(ls) != 4 || ls[0] != 0 || ls[3] != 1 {
 		t.Fatalf("late series = %v", ls)
 	}
 }
 
-func TestSweeperCapRingAndBackfill(t *testing.T) {
+// TestRunDataSeriesUnboundedAndBackfilled pins the report series contract:
+// every sweep is kept (no ring cap, unlike the flight recorder's default of
+// timeseries.DefaultCap rows) and every series, including a gauge registered
+// mid-run, has exactly one value per sweep, zero before it existed.
+func TestRunDataSeriesUnboundedAndBackfilled(t *testing.T) {
 	eng := sim.NewEngine()
-	reg := NewRegistry()
-	c := reg.Counter("events")
-	sw := &Sweeper{Reg: reg, Eng: eng, Interval: sim.Millisecond, Cap: 3}
-	sw.Start()
-	for i := 1; i <= 5; i++ {
-		c.Inc()
-		eng.Run(sim.Time(i) * sim.Millisecond)
-		if i == 4 {
-			// Register a metric mid-run, after the ring has wrapped.
-			reg.Counter("late").Add(9)
+	rd := NewRunData(eng, 1, 0) // one sweep per nanosecond
+	c := rd.Registry.Counter("events")
+	rd.Series.Start()
+	const sweeps = timeseries.DefaultCap + 808
+	const lateAt = 5000
+	eng.Run(lateAt)
+	c.Inc()
+	rd.Registry.GaugeFunc("late", func() float64 { return 9 }, "k", "v")
+	eng.Run(sweeps)
+	rd.Series.Stop()
+
+	rep := &Report{}
+	rd.Fill(rep)
+	if len(rep.SeriesTimesNs) != sweeps || rd.Series.TruncatedSamples() != 0 {
+		t.Fatalf("retained %d sweeps (truncated %d), want %d (0)",
+			len(rep.SeriesTimesNs), rd.Series.TruncatedSamples(), sweeps)
+	}
+	if rep.SeriesTimesNs[0] != 1 || rep.SeriesTimesNs[sweeps-1] != sweeps {
+		t.Fatalf("times run %d..%d, want 1..%d", rep.SeriesTimesNs[0], rep.SeriesTimesNs[sweeps-1], sweeps)
+	}
+	if len(rep.Series) != 2 || rep.Series[1].Name != "late{k=v}" {
+		t.Fatalf("series = %d, want events and late{k=v}", len(rep.Series))
+	}
+	for _, s := range rep.Series {
+		if len(s.Values) != sweeps {
+			t.Fatalf("series %q has %d values, want %d", s.Name, len(s.Values), sweeps)
 		}
 	}
-	sw.Stop()
-	times := sw.Times()
-	if len(times) != 3 || sw.Truncated() != 2 {
-		t.Fatalf("retained %d sweeps (truncated %d), want 3 (2)", len(times), sw.Truncated())
+	ev, late := rep.Series[0].Values, rep.Series[1].Values
+	if ev[lateAt-1] != 0 || ev[lateAt] != 1 || ev[sweeps-1] != 1 {
+		t.Fatalf("events around the late registration = %v, want [0 1 ... 1]", ev[lateAt-1:lateAt+1])
 	}
-	// Oldest-first, newest survive: sweeps at 3, 4, 5 ms.
-	if times[0] != int64(3*sim.Millisecond) || times[2] != int64(5*sim.Millisecond) {
-		t.Fatalf("times = %v", times)
-	}
-	// Invariant: every series has exactly one value per retained sweep,
-	// including the late-registered metric (zero before it existed).
-	for name, vals := range sw.Series() {
-		if len(vals) != len(times) {
-			t.Fatalf("series %q has %d values, want %d", name, len(vals), len(times))
-		}
-	}
-	if got := sw.Series()["events"]; got[0] != 3 || got[2] != 5 {
-		t.Fatalf("events series = %v, want [3 4 5]", got)
-	}
-	if got := sw.Series()["late"]; got[0] != 0 || got[1] != 0 || got[2] != 9 {
-		t.Fatalf("late series = %v, want [0 0 9]", got)
+	if late[0] != 0 || late[lateAt-1] != 0 || late[lateAt] != 9 || late[sweeps-1] != 9 {
+		t.Fatal("late gauge not zero-backfilled before its registration")
 	}
 }
 
@@ -241,9 +241,9 @@ func TestReportDeterministicBytes(t *testing.T) {
 		rd.Registry.GaugeFunc("c.fn", func() float64 { return 9 })
 		rd.Registry.Histogram("h", []float64{1}).Observe(0.5)
 		rd.Audit.Add(AuditEntry{At: 5, Kind: AuditPlace, Reason: ReasonFresh})
-		rd.Sweeper.Start()
+		rd.Series.Start()
 		eng.Run(2 * sim.Millisecond)
-		rd.Sweeper.Stop()
+		rd.Series.Stop()
 		rep := &Report{Schema: ReportSchema, Scheme: "hermes", Seed: 1}
 		rd.Fill(rep)
 		return rep

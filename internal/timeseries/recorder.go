@@ -63,9 +63,10 @@ type probe struct {
 	fn   func() float64
 }
 
-// Recorder is the flight recorder for one run. Registered probes are
-// sampled every Interval of virtual time into ring-capped aligned series;
-// transitions are appended as they happen, bounded by MaxTransitions.
+// Recorder samples registered probes every Interval of virtual time into
+// aligned series, ring-capped when Cap > 0. As a run's flight recorder it
+// also keeps the Hermes transition log, appended as transitions happen and
+// bounded by MaxTransitions.
 //
 // A nil *Recorder is the disabled state: every method is a no-op, so
 // instrumentation sites can call unconditionally.
@@ -78,7 +79,7 @@ type probe struct {
 type Recorder struct {
 	Eng      *sim.Engine
 	Interval sim.Time // sampling period (<= 0 picks DefaultInterval)
-	Cap      int      // retained samples per series (<= 0 picks DefaultCap)
+	Cap      int      // retained samples per series (<= 0 keeps all; NewRecorder picks DefaultCap)
 	// MaxTransitions caps the transition log (<= 0 picks the default;
 	// negative after New means unbounded is not supported).
 	MaxTransitions int
@@ -118,10 +119,11 @@ func NewRecorder(eng *sim.Engine, interval sim.Time, cap, maxTransitions int) *R
 }
 
 // Register adds (or replaces) a pull-style sampler evaluated once per
-// sample instant, in registration order. Unlike telemetry.GaugeFunc probes,
-// a recorder probe may carry state — it is called exactly once per retained
-// instant, so read-and-reset samplers (interval peaks, counter deltas) are
-// well-defined.
+// sample instant, in registration order. A probe registered on one recorder
+// only may carry state — it is called exactly once per retained instant, so
+// read-and-reset samplers (interval peaks, counter deltas) are well-defined.
+// A probe shared with another sink (a telemetry.GaugeFunc, which Values also
+// evaluates) must be a pure read.
 func (r *Recorder) Register(name string, fn func() float64) {
 	if r == nil || fn == nil {
 		return

@@ -1,5 +1,9 @@
-// Package timeseries is the simulation-clock flight recorder: bounded,
-// deterministic time series of per-entity fabric state (queue depths, link
+// Package timeseries is the simulation-clock sampler. Recorder is the only
+// periodic pull sampler in the simulator; a run uses two: the flight
+// recorder, ring-capped at a fine cadence, and the telemetry report series
+// (telemetry.RunData.Series), unbounded at a coarse one.
+//
+// The flight recorder keeps bounded, deterministic time series of per-entity fabric state (queue depths, link
 // utilization, ECN-mark and drop rates), Hermes path-state occupancy, and
 // transport aggregates, plus an event log of Hermes path-state transitions
 // with their cause. It is the temporal complement of internal/telemetry
@@ -7,8 +11,8 @@
 // that answers "what did the fabric look like at t, and when did Algorithm 1
 // change its mind".
 //
-// Everything is driven by the virtual clock and bounded by ring caps, so a
-// recording is a pure function of (config, seed) with O(cap) memory no
+// Everything is driven by the virtual clock, so a recording is a pure
+// function of (config, seed); under a ring cap it takes O(cap) memory no
 // matter how long the run is.
 package timeseries
 
@@ -17,7 +21,7 @@ import "sort"
 // Columns is a set of named float64 series aligned on shared sample
 // instants, with an optional ring cap. When the cap is reached the oldest
 // row is discarded for each new one and Truncated counts the loss; with
-// Cap <= 0 rows accumulate without bound (the telemetry.Sweeper default).
+// Cap <= 0 rows accumulate without bound (the telemetry report series).
 //
 // Columns created after rows already exist are zero-backfilled so that
 // every column always has exactly Len() values — one per retained instant —

@@ -66,7 +66,6 @@ func (f *Flow) sendSegment(seq int64, payload int, retx bool) {
 
 func (f *Flow) retransmitFirst() {
 	f.ep.tr.Retransmits++
-	f.ep.tr.telemRetx.Inc()
 	payload := int64(net.MSS)
 	if rem := f.Size - f.cumAck; rem < payload {
 		payload = rem
@@ -112,7 +111,6 @@ func (f *Flow) onRTO() {
 		return
 	}
 	f.ep.tr.Timeouts++
-	f.ep.tr.telemRTO.Inc()
 	f.ep.tr.telemCwnd.Observe(f.cwnd)
 	f.timeouts++
 	f.TimedOut = true
@@ -259,7 +257,6 @@ func (f *Flow) finish(now sim.Time) {
 	delete(f.ep.flows, f.ID)
 	delete(tr.active, f.ID)
 	tr.finished++
-	tr.telemFlowsDone.Inc()
 	tr.telemCwnd.Observe(f.cwnd)
 	if tr.Opts.Protocol == DCTCP {
 		tr.telemAlpha.Observe(f.alpha)

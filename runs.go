@@ -124,7 +124,7 @@ func RunParallel(cfg Config, seeds []int64) ([]*Result, error) {
 //     is bit-identical to a sequential Run with the same Config+Seed (worker
 //     count and scheduling order cannot leak into results).
 //   - Isolation: each worker goroutine runs whole simulations; a run's
-//     engine, RNG, metric registry, audit log and sweeper are all owned by
+//     engine, RNG, metric registry, audit log and recorders are all owned by
 //     that run, so telemetry from concurrent seeds never mixes.
 //   - Cancellation: cancelling ctx aborts queued seeds and interrupts
 //     in-flight simulations at their next scheduling slice; the first real

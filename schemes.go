@@ -162,34 +162,28 @@ func buildReps(nw *net.Network, rd *telemetry.RunData,
 	}
 	recycled := sumOver(func(r *lb.Reps) uint64 { return r.RecycledSprays })
 	fresh := sumOver(func(r *lb.Reps) uint64 { return r.FreshSprays })
-	evictions := sumOver(func(r *lb.Reps) uint64 { return r.Evictions })
-	cached := func() float64 {
-		var n int
-		for _, r := range instances {
-			n += r.CachedEntropies()
-		}
-		return float64(n)
+	shared := []gauge{
+		{"reps.recycled_sprays_total", recycled},
+		{"reps.fresh_sprays_total", fresh},
+		{"reps.evictions_total", sumOver(func(r *lb.Reps) uint64 { return r.Evictions })},
+		{"reps.cached_entropies", func() float64 {
+			var n int
+			for _, r := range instances {
+				n += r.CachedEntropies()
+			}
+			return float64(n)
+		}},
 	}
-	hitRate := func() float64 {
+	reg := registryOf(rd)
+	register(reg, nil, shared)
+	reg.GaugeFunc("reps.cache_hit_rate", func() float64 {
 		rec, fr := recycled(), fresh()
 		if rec+fr == 0 {
 			return 0
 		}
 		return rec / (rec + fr)
-	}
-	if rd != nil {
-		rd.Registry.GaugeFunc("reps.recycled_sprays_total", recycled)
-		rd.Registry.GaugeFunc("reps.fresh_sprays_total", fresh)
-		rd.Registry.GaugeFunc("reps.evictions_total", evictions)
-		rd.Registry.GaugeFunc("reps.cached_entropies", cached)
-		rd.Registry.GaugeFunc("reps.cache_hit_rate", hitRate)
-	}
-	w.attachFlight = func(f *timeseries.Recorder) {
-		f.Register("reps.recycled_sprays_total", recycled)
-		f.Register("reps.fresh_sprays_total", fresh)
-		f.Register("reps.evictions_total", evictions)
-		f.Register("reps.cached_entropies", cached)
-	}
+	})
+	w.attachFlight = func(f *timeseries.Recorder) { register(nil, f, shared) }
 	if flight != nil {
 		w.attachFlight(flight)
 	}
@@ -217,26 +211,35 @@ func buildReps(nw *net.Network, rd *telemetry.RunData,
 // gains these keys.
 func attachRepFlowObservability(tr *transport.Transport, rd *telemetry.RunData,
 	flight *timeseries.Recorder) {
-	if rd != nil {
-		rd.Registry.GaugeFunc("repflow.replicated_total",
-			func() float64 { return float64(tr.RepFlowsStarted) })
-		rd.Registry.GaugeFunc("repflow.replica_wins_total",
-			func() float64 { return float64(tr.ReplicaWins) })
-		rd.Registry.GaugeFunc("repflow.cancelled_total",
-			func() float64 { return float64(tr.FlowsCancelled) })
-		rd.Registry.GaugeFunc("repflow.redundant_bytes_total",
-			func() float64 { return float64(tr.RedundantBytes) })
+	register(registryOf(rd), flight, []gauge{
+		{"repflow.replicated_total", func() float64 { return float64(tr.RepFlowsStarted) }},
+		{"repflow.replica_wins_total", func() float64 { return float64(tr.ReplicaWins) }},
+		{"repflow.cancelled_total", func() float64 { return float64(tr.FlowsCancelled) }},
+		{"repflow.redundant_bytes_total", func() float64 { return float64(tr.RedundantBytes) }},
+	})
+}
+
+// gauge is one named pull probe, declared once and registered on each sink
+// a run arms.
+type gauge struct {
+	name string
+	fn   func() float64
+}
+
+// register shares gs between the report registry and the flight recorder;
+// either may be nil.
+func register(reg *telemetry.Registry, flight *timeseries.Recorder, gs []gauge) {
+	for _, g := range gs {
+		telemetry.Share(reg, flight, g.name, g.fn)
 	}
-	if flight != nil {
-		flight.Register("repflow.replicated_total",
-			func() float64 { return float64(tr.RepFlowsStarted) })
-		flight.Register("repflow.replica_wins_total",
-			func() float64 { return float64(tr.ReplicaWins) })
-		flight.Register("repflow.cancelled_total",
-			func() float64 { return float64(tr.FlowsCancelled) })
-		flight.Register("repflow.redundant_bytes_total",
-			func() float64 { return float64(tr.RedundantBytes) })
+}
+
+// registryOf returns the run's metric registry, nil with telemetry off.
+func registryOf(rd *telemetry.RunData) *telemetry.Registry {
+	if rd == nil {
+		return nil
 	}
+	return rd.Registry
 }
 
 func buildHermes(nw *net.Network, rng *sim.RNG, cfg Config, rd *telemetry.RunData,
@@ -255,10 +258,10 @@ func buildHermes(nw *net.Network, rng *sim.RNG, cfg Config, rd *telemetry.RunDat
 		}
 	}
 
-	var reg *telemetry.Registry
+	reg := registryOf(rd)
 	var audit *telemetry.AuditLog
 	if rd != nil {
-		reg, audit = rd.Registry, rd.Audit
+		audit = rd.Audit
 	}
 
 	monitors := make([]*core.Monitor, nw.Cfg.Leaves)
@@ -276,12 +279,32 @@ func buildHermes(nw *net.Network, rng *sim.RNG, cfg Config, rd *telemetry.RunDat
 		return inst
 	}
 
+	// Cumulative reroute counters, sampled by both sinks. The chaos recovery
+	// analysis reads them from the flight recorder: the first post-onset
+	// increase of timeout+failure reroutes is the time-to-reroute. Sums are
+	// over integer counters, so map iteration order cannot perturb them.
+	sumOver := func(pick func(*core.Hermes) uint64) func() float64 {
+		return func() float64 {
+			var n uint64
+			for _, inst := range instances {
+				n += pick(inst)
+			}
+			return float64(n)
+		}
+	}
+	reroutes := []gauge{
+		{"hermes.reroutes_total", sumOver(func(i *core.Hermes) uint64 { return i.Reroutes })},
+		{"hermes.timeout_reroutes_total", sumOver(func(i *core.Hermes) uint64 { return i.TimeoutReroutes })},
+		{"hermes.failure_reroutes_total", sumOver(func(i *core.Hermes) uint64 { return i.FailureReroutes })},
+	}
 	var probers []*core.Prober
 	if reg != nil {
-		attachHermesGauges(reg, monitors, instances, &probers)
+		register(reg, nil, reroutes)
+		attachHermesGauges(reg, monitors, &probers)
 	}
 	w.attachFlight = func(f *timeseries.Recorder) {
-		attachHermesFlight(f, monitors, instances)
+		register(nil, f, reroutes)
+		attachHermesFlight(f, monitors)
 	}
 	if flight != nil {
 		w.attachFlight(flight)
@@ -370,31 +393,11 @@ type hermesHostDump struct {
 
 // attachHermesFlight wires the Hermes control plane into the flight
 // recorder: a per-leaf Algorithm 1 path census (good/gray/congested/failed
-// counts sampled every interval), the path-state transition log, and the
-// cumulative reroute counters the chaos recovery analysis needs (first
-// post-onset increase of timeout+failure reroutes = time-to-reroute). All
-// sums are over integer counters, so map iteration order cannot perturb
-// the sampled values. Monitor intake sites report transitions as they
-// happen; the per-tick scan catches the one change that happens between
-// events, quarantine expiry, so a failed->gray flip is recorded within one
-// sampling interval.
-func attachHermesFlight(flight *timeseries.Recorder, monitors []*core.Monitor,
-	instances map[int]*core.Hermes) {
-	sumOver := func(pick func(*core.Hermes) uint64) func() float64 {
-		return func() float64 {
-			var n uint64
-			for _, inst := range instances {
-				n += pick(inst)
-			}
-			return float64(n)
-		}
-	}
-	flight.Register("hermes.reroutes_total",
-		sumOver(func(i *core.Hermes) uint64 { return i.Reroutes }))
-	flight.Register("hermes.timeout_reroutes_total",
-		sumOver(func(i *core.Hermes) uint64 { return i.TimeoutReroutes }))
-	flight.Register("hermes.failure_reroutes_total",
-		sumOver(func(i *core.Hermes) uint64 { return i.FailureReroutes }))
+// counts sampled every interval) and the path-state transition log. Monitor
+// intake sites report transitions as they happen; the per-tick scan catches
+// the one change that happens between events, quarantine expiry, so a
+// failed->gray flip is recorded within one sampling interval.
+func attachHermesFlight(flight *timeseries.Recorder, monitors []*core.Monitor) {
 	for l, m := range monitors {
 		l, m := l, m
 		leafLabel := fmt.Sprintf("%d", l)
@@ -419,35 +422,14 @@ func attachHermesFlight(flight *timeseries.Recorder, monitors []*core.Monitor,
 	}
 }
 
-// attachHermesGauges registers pull-style metrics over the Hermes control
-// plane: reroute/probe totals, failure-mark events, and the Algorithm 1 path
-// census (how many (dstLeaf, path) pairs each monitor currently classifies
-// good/gray/congested/failed). Pull gauges cost nothing on the hot path; the
-// sweeper evaluates them once per interval. All sums are over integer-valued
-// counters, so map iteration order cannot perturb the result.
+// attachHermesGauges registers the report's pull-style metrics over the
+// Hermes control plane beyond the shared reroute counters: failure-mark
+// events, probe totals, and the fabric-wide Algorithm 1 path census (how
+// many (dstLeaf, path) pairs the monitors currently classify
+// good/gray/congested/failed). Pull gauges cost nothing on the hot path;
+// the report recorder evaluates them once per interval.
 func attachHermesGauges(reg *telemetry.Registry, monitors []*core.Monitor,
-	instances map[int]*core.Hermes, probers *[]*core.Prober) {
-	reg.GaugeFunc("hermes.reroutes_total", func() float64 {
-		var n uint64
-		for _, inst := range instances {
-			n += inst.Reroutes
-		}
-		return float64(n)
-	})
-	reg.GaugeFunc("hermes.timeout_reroutes_total", func() float64 {
-		var n uint64
-		for _, inst := range instances {
-			n += inst.TimeoutReroutes
-		}
-		return float64(n)
-	})
-	reg.GaugeFunc("hermes.failure_reroutes_total", func() float64 {
-		var n uint64
-		for _, inst := range instances {
-			n += inst.FailureReroutes
-		}
-		return float64(n)
-	})
+	probers *[]*core.Prober) {
 	reg.GaugeFunc("hermes.fail_marks_total", func() float64 {
 		var n uint64
 		for _, m := range monitors {
@@ -455,27 +437,18 @@ func attachHermesGauges(reg *telemetry.Registry, monitors []*core.Monitor,
 		}
 		return float64(n)
 	})
-	reg.GaugeFunc("hermes.probes_sent_total", func() float64 {
-		var n uint64
-		for _, p := range *probers {
-			n += p.ProbesSent
+	sumProbers := func(pick func(*core.Prober) uint64) func() float64 {
+		return func() float64 {
+			var n uint64
+			for _, p := range *probers {
+				n += pick(p)
+			}
+			return float64(n)
 		}
-		return float64(n)
-	})
-	reg.GaugeFunc("hermes.probes_lost_total", func() float64 {
-		var n uint64
-		for _, p := range *probers {
-			n += p.ProbesLost
-		}
-		return float64(n)
-	})
-	reg.GaugeFunc("hermes.probe_bytes_total", func() float64 {
-		var n uint64
-		for _, p := range *probers {
-			n += p.ProbeBytes
-		}
-		return float64(n)
-	})
+	}
+	reg.GaugeFunc("hermes.probes_sent_total", sumProbers(func(p *core.Prober) uint64 { return p.ProbesSent }))
+	reg.GaugeFunc("hermes.probes_lost_total", sumProbers(func(p *core.Prober) uint64 { return p.ProbesLost }))
+	reg.GaugeFunc("hermes.probe_bytes_total", sumProbers(func(p *core.Prober) uint64 { return p.ProbeBytes }))
 	census := func(pick func(good, gray, congested, failed int) int) func() float64 {
 		return func() float64 {
 			var n int
