@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"log"
 	"os"
 
 	hermes "github.com/hermes-repro/hermes"
@@ -31,7 +30,7 @@ func chaosExp(o options) {
 	for _, name := range chaosScenarioNames {
 		sc, err := hermes.BuiltinScenario(name, topo)
 		if err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		scenarios = append(scenarios, sc)
 	}
@@ -50,10 +49,10 @@ func chaosExp(o options) {
 		Options:   hermes.ParallelOptions{Workers: sweepWorkers},
 	})
 	if err != nil && m == nil {
-		log.Fatal(err)
+		prof.Fatal(err)
 	}
 	if renderErr := m.RenderText(os.Stdout, 40); renderErr != nil {
-		log.Fatal(renderErr)
+		prof.Fatal(renderErr)
 	}
 
 	// Long-format CSV mirror: one row per matrix cell.
@@ -71,7 +70,6 @@ func chaosExp(o options) {
 		// disk; report the cancellation with a non-zero exit.
 		endCSVTable()
 		fmt.Fprintf(os.Stderr, "\ninterrupted (%v); partial chaos matrix flushed\n", err)
-		stopProfiles()
-		os.Exit(130)
+		prof.Exit(130)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log"
 	"os"
 	"path/filepath"
 	"sync"
@@ -65,7 +64,7 @@ func mustRun(cfg hermes.Config) *hermes.Result {
 		interruptExit(err)
 	}
 	if err != nil {
-		log.Fatal(err)
+		prof.Fatal(err)
 	}
 	saveRunArtifacts(cfg, res)
 	return res
@@ -87,44 +86,44 @@ func saveRunArtifacts(cfg hermes.Config, res *hermes.Result) {
 	if reportDir != "" {
 		rep, err := hermes.BuildReport(cfg, res)
 		if err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		f, err := os.Create(filepath.Join(reportDir, base+".json"))
 		if err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		if err := rep.WriteJSON(f); err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		f.Close()
 	}
 	if auditDir != "" {
 		f, err := os.Create(filepath.Join(auditDir, base+".jsonl"))
 		if err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		if err := res.Telemetry.Audit.WriteJSONL(f); err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		f.Close()
 	}
 	if traceDir != "" && res.Trace != nil {
 		f, err := os.Create(filepath.Join(traceDir, base+".trace.jsonl"))
 		if err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		if err := res.Trace.WriteJSONL(f); err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		f.Close()
 	}
 	if timeseriesDir != "" && res.TimeSeries != nil {
 		f, err := os.Create(filepath.Join(timeseriesDir, base+".ts.jsonl"))
 		if err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		if err := res.TimeSeries.WriteJSONL(f); err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		f.Close()
 	}
@@ -629,7 +628,7 @@ func deriveParams(topo hermes.Topology) core.Params {
 		HostDelay: topo.HostDelayNs, FabricDelay: topo.FabricDelayNs,
 	})
 	if err != nil {
-		log.Fatal(err)
+		prof.Fatal(err)
 	}
 	return core.DefaultParams(nw)
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"log"
 	"sort"
 
 	hermes "github.com/hermes-repro/hermes"
@@ -76,7 +75,7 @@ func incastExp(o options) {
 			HostDelay: topo.HostDelayNs, FabricDelay: topo.FabricDelayNs,
 		})
 		if err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		tr := transport.New(nw, transport.DefaultOptions(), su.setup(nw, rng))
 
@@ -119,13 +118,13 @@ func tuneExp(o options) {
 	}
 	base, err := hermes.DeriveHermesParams(cfg.Topology)
 	if err != nil {
-		log.Fatal(err)
+		prof.Fatal(err)
 	}
 	fmt.Printf("derived defaults: TRTTHigh=%dus DeltaRTT=%dus DeltaECN=%.2f S=%dKB R=%.1fGbps\n",
 		base.TRTTHigh/1000, base.DeltaRTT/1000, base.DeltaECN, base.SBytes/1000, base.RBps/1e9)
 	res, err := hermes.TuneHermes(cfg, nil, hermes.Seeds(o.seed, 2), 1)
 	if err != nil {
-		log.Fatal(err)
+		prof.Fatal(err)
 	}
 	fmt.Print(res.String())
 	p := res.Params

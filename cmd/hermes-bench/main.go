@@ -16,7 +16,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -67,7 +66,7 @@ func beginCSVTable(cols []string) {
 	name := filepath.Join(csvDir, fmt.Sprintf("%s_%d.csv", currentExp, tableSeq))
 	f, err := os.Create(name)
 	if err != nil {
-		log.Fatalf("csv: %v", err)
+		prof.Fatalf("csv: %v", err)
 	}
 	csvFile = f
 	fmt.Fprintln(f, strings.Join(cols, ","))
@@ -96,7 +95,7 @@ func endCSVTable() {
 	if plotTables && len(plotSeries) > 0 {
 		fmt.Println()
 		if err := textplot.Bars(os.Stdout, "(scaled bars)", plotCols, plotSeries, 40); err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 	}
 	plotSeries = nil
@@ -113,6 +112,10 @@ var registry []experiment
 func register(name, what string, fn func(o options)) {
 	registry = append(registry, experiment{name, what, fn})
 }
+
+// prof is the -cpuprofile/-memprofile pair; exits go through prof.Exit,
+// prof.Fatal and prof.Fatalf so the profiles are flushed.
+var prof = perf.ProfileFlags(flag.CommandLine, "the experiments")
 
 func main() {
 	var (
@@ -144,7 +147,6 @@ func main() {
 		progressSec = flag.Int("progress-interval", 5, "seconds between -progress lines")
 		version     = flag.Bool("version", false, "print build version and VCS revision, then exit")
 	)
-	prof := perf.ProfileFlags(flag.CommandLine, "the experiments")
 	flag.Parse()
 	if *version {
 		fmt.Println(hermes.VersionString())
@@ -179,7 +181,7 @@ func main() {
 		if *statusAddr != "" {
 			srv, err := hermes.ServeStatus(*statusAddr, st)
 			if err != nil {
-				log.Fatal(err)
+				prof.Fatal(err)
 			}
 			defer srv.Close()
 			fmt.Fprintf(os.Stderr, "status plane on %s\n", srv.URL())
@@ -194,7 +196,7 @@ func main() {
 	}
 	if *csvOut != "" {
 		if err := os.MkdirAll(*csvOut, 0o755); err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		csvDir = *csvOut
 	}
@@ -206,7 +208,7 @@ func main() {
 			continue
 		}
 		if err := os.MkdirAll(d.flag, 0o755); err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		*d.dst = d.flag
 	}
@@ -225,9 +227,9 @@ func main() {
 		return
 	}
 
-	var err error
-	if stopProfiles, err = prof.Start(); err != nil {
-		log.Fatal(err)
+	stopProfiles, err := prof.Start()
+	if err != nil {
+		prof.Fatal(err)
 	}
 	defer stopProfiles()
 
@@ -244,7 +246,7 @@ func main() {
 			return
 		}
 	}
-	log.Fatalf("unknown experiment %q (use -list)", *exp)
+	prof.Fatalf("unknown experiment %q (use -list)", *exp)
 }
 
 // statusTracker is the -status/-progress tracker (nil when neither is set).
@@ -259,10 +261,6 @@ var benchCtx context.Context = context.Background()
 // cancellation at the same slice boundary.
 var interruptOnce sync.Once
 
-// stopProfiles flushes the -cpuprofile/-memprofile profiles; exit paths that
-// leave through os.Exit call it because deferred calls do not run there.
-var stopProfiles = func() {}
-
 // interruptExit flushes the current experiment's partially-written table,
 // reports where the run stopped, and exits 130. Never returns: losers of the
 // race park until the winner's os.Exit tears the process down.
@@ -270,8 +268,7 @@ func interruptExit(err error) {
 	interruptOnce.Do(func() {
 		endCSVTable()
 		fmt.Fprintf(os.Stderr, "\ninterrupted during %s (%v); partial tables flushed\n", currentExp, err)
-		stopProfiles()
-		os.Exit(130)
+		prof.Exit(130)
 	})
 	select {}
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"testing"
 	"time"
@@ -26,8 +25,7 @@ func runPerfLedger(ledgerPath string, count int, note string, baseline bool) int
 	}
 	ledger, err := perf.LoadLedger(ledgerPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		prof.Fatal(err)
 	}
 	m := telemetry.BuildManifest()
 	fp := perf.HostFingerprint(m.VCSRevision, m.VCSModified)
@@ -70,8 +68,7 @@ func runPerfLedger(ledgerPath string, count int, note string, baseline bool) int
 		ledger.Append(entry)
 	}
 	if err := ledger.Save(ledgerPath); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		prof.Fatal(err)
 	}
 	fmt.Printf("\nperf ledger: %d entries across %d benchmarks -> %s\n",
 		len(ledger.Entries), len(ledger.Names()), ledgerPath)

@@ -19,7 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"os/signal"
 	"strings"
@@ -29,6 +28,10 @@ import (
 	hermes "github.com/hermes-repro/hermes"
 	"github.com/hermes-repro/hermes/internal/perf"
 )
+
+// prof is the -cpuprofile/-memprofile pair; exits go through prof.Exit,
+// prof.Fatal and prof.Fatalf so the profiles are flushed.
+var prof = perf.ProfileFlags(flag.CommandLine, "the matrix")
 
 func main() {
 	var (
@@ -56,7 +59,6 @@ func main() {
 		perfSample    = flag.Int("perf-sample", 0, "wall-time attribution stride: time 1 in N event fires (0 = 64 default)")
 		version       = flag.Bool("version", false, "print build version and VCS revision, then exit")
 	)
-	prof := perf.ProfileFlags(flag.CommandLine, "the matrix")
 	flag.Parse()
 
 	if *version {
@@ -66,7 +68,7 @@ func main() {
 
 	stopProfiles, err := prof.Start()
 	if err != nil {
-		log.Fatal(err)
+		prof.Fatal(err)
 	}
 	defer stopProfiles()
 
@@ -89,7 +91,7 @@ func main() {
 	case "large":
 		topo = hermes.LargeScaleTopology()
 	default:
-		log.Fatalf("unknown topology %q", *topoName)
+		prof.Fatalf("unknown topology %q", *topoName)
 	}
 
 	var schemes []hermes.Scheme
@@ -112,7 +114,7 @@ func main() {
 			for _, n := range hermes.ScenarioNames() {
 				sc, err := hermes.BuiltinScenario(n, topo)
 				if err != nil {
-					log.Fatal(err)
+					prof.Fatal(err)
 				}
 				scenarios = append(scenarios, sc)
 			}
@@ -120,7 +122,7 @@ func main() {
 		}
 		sc, err := hermes.BuiltinScenario(name, topo)
 		if err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		scenarios = append(scenarios, sc)
 	}
@@ -146,11 +148,11 @@ func main() {
 		*alertsOn = true
 		f, err := os.Create(*alertLog)
 		if err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		defer func() {
 			if err := f.Close(); err != nil {
-				log.Fatal(err)
+				prof.Fatal(err)
 			}
 			fmt.Fprintf(os.Stderr, "alert log written to %s (view with hermes-trace -alerts)\n", *alertLog)
 		}()
@@ -184,7 +186,7 @@ func main() {
 	if *statusAddr != "" {
 		srv, err := hermes.ServeStatus(*statusAddr, st)
 		if err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "status plane on %s\n", srv.URL())
@@ -203,7 +205,7 @@ func main() {
 
 	m, err := hermes.RunChaosMatrix(ctx, mc)
 	if err != nil && m == nil {
-		log.Fatal(err)
+		prof.Fatal(err)
 	}
 	// Stamp provenance onto the emitted artifact (RunChaosMatrix itself
 	// leaves Manifest nil so in-process matrices stay config-pure).
@@ -216,11 +218,11 @@ func main() {
 	if *outFile != "" {
 		f, err := os.Create(*outFile)
 		if err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		defer func() {
 			if err := f.Close(); err != nil {
-				log.Fatal(err)
+				prof.Fatal(err)
 			}
 		}()
 		w = f
@@ -229,20 +231,19 @@ func main() {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		if encErr := enc.Encode(m); encErr != nil {
-			log.Fatal(encErr)
+			prof.Fatal(encErr)
 		}
 	} else if renderErr := m.RenderText(w, *width); renderErr != nil {
-		log.Fatal(renderErr)
+		prof.Fatal(renderErr)
 	}
 	if err != nil {
 		// The partial artifact is flushed (os.File writes are unbuffered);
-		// report the interruption and exit non-zero. The profiles are
-		// flushed by hand; other skipped defers only lose closing log lines.
+		// report the interruption and exit non-zero. perf.Exit flushes the
+		// profiles; other skipped defers only lose closing log lines.
 		fmt.Fprintf(os.Stderr, "interrupted (%v); partial matrix emitted\n", err)
 		if *ckptDir != "" {
 			fmt.Fprintf(os.Stderr, "per-run interrupt checkpoints in %s (resume with hermes-sim -resume <file>)\n", *ckptDir)
 		}
-		stopProfiles()
-		os.Exit(130)
+		prof.Exit(130)
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log"
 	"os"
 	"os/signal"
 	"strconv"
@@ -26,6 +25,10 @@ import (
 	hermes "github.com/hermes-repro/hermes"
 	"github.com/hermes-repro/hermes/internal/perf"
 )
+
+// prof is the -cpuprofile/-memprofile pair; exits go through prof.Exit,
+// prof.Fatal and prof.Fatalf so the profiles are flushed.
+var prof = perf.ProfileFlags(flag.CommandLine, "the run")
 
 func main() {
 	var (
@@ -83,7 +86,6 @@ func main() {
 		ckptAtMs     = flag.String("checkpoint-at-ms", "", "comma-separated simulated-time instants (ms) to checkpoint at")
 		version      = flag.Bool("version", false, "print build version and VCS revision, then exit")
 	)
-	prof := perf.ProfileFlags(flag.CommandLine, "the run")
 	flag.Parse()
 
 	if *version {
@@ -92,7 +94,7 @@ func main() {
 	}
 	stopProfiles, err := prof.Start()
 	if err != nil {
-		log.Fatal(err)
+		prof.Fatal(err)
 	}
 	defer stopProfiles()
 
@@ -105,7 +107,7 @@ func main() {
 	if *resumePath != "" &&
 		(*configFile != "" || *traceFile != "" || *perfettoFile != "" || *tsFile != "" ||
 			*tsCSVFile != "" || *reportFile != "" || *auditFile != "" || *telem) {
-		log.Fatal("-resume replays the experiment from the config embedded in the checkpoint; it cannot be combined with -config, -telemetry or writer flags (-trace, -perfetto, -timeseries*, -report, -audit)")
+		prof.Fatal("-resume replays the experiment from the config embedded in the checkpoint; it cannot be combined with -config, -telemetry or writer flags (-trace, -perfetto, -timeseries*, -report, -audit)")
 	}
 
 	var topo hermes.Topology
@@ -118,18 +120,18 @@ func main() {
 		topo = hermes.Topology{Leaves: 4, Spines: 4, HostsPerLeaf: 8,
 			HostRateBps: 10e9, FabricRateBps: 10e9, HostDelayNs: 2000, FabricDelayNs: 2000}
 	default:
-		log.Fatalf("unknown topology %q", *topoName)
+		prof.Fatalf("unknown topology %q", *topoName)
 	}
 
 	if *sweepUs <= 0 {
-		log.Fatalf("-sweep-us %d: the sweep interval must be a positive number of microseconds", *sweepUs)
+		prof.Fatalf("-sweep-us %d: the sweep interval must be a positive number of microseconds", *sweepUs)
 	}
 
 	var traceW, perfettoW *os.File
 	if *traceFile != "" {
 		f, err := os.Create(*traceFile)
 		if err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		defer f.Close()
 		traceW = f
@@ -137,7 +139,7 @@ func main() {
 	if *perfettoFile != "" {
 		f, err := os.Create(*perfettoFile)
 		if err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		defer f.Close()
 		perfettoW = f
@@ -172,11 +174,11 @@ func main() {
 	case *scenarioFile != "":
 		data, err := os.ReadFile(*scenarioFile)
 		if err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		var sc hermes.Scenario
 		if err := json.Unmarshal(data, &sc); err != nil {
-			log.Fatalf("parse %s: %v", *scenarioFile, err)
+			prof.Fatalf("parse %s: %v", *scenarioFile, err)
 		}
 		cfg.Scenario = &sc
 	case *scenarioName == "random":
@@ -184,7 +186,7 @@ func main() {
 	case *scenarioName != "":
 		sc, err := hermes.BuiltinScenario(*scenarioName, topo)
 		if err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		cfg.Scenario = sc
 	}
@@ -209,7 +211,7 @@ func main() {
 	if *tsFile != "" {
 		f, err := os.Create(*tsFile)
 		if err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		defer f.Close()
 		tsW = f
@@ -218,7 +220,7 @@ func main() {
 	if *tsCSVFile != "" {
 		f, err := os.Create(*tsCSVFile)
 		if err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		defer f.Close()
 		tsCSVW = f
@@ -232,13 +234,13 @@ func main() {
 		if *alertRules != "" {
 			data, err := os.ReadFile(*alertRules)
 			if err != nil {
-				log.Fatal(err)
+				prof.Fatal(err)
 			}
 			if err := json.Unmarshal(data, &ac.Rules); err != nil {
-				log.Fatalf("parse %s: %v", *alertRules, err)
+				prof.Fatalf("parse %s: %v", *alertRules, err)
 			}
 			if err := hermes.ValidateAlertRules(ac.Rules); err != nil {
-				log.Fatalf("%s: %v", *alertRules, err)
+				prof.Fatalf("%s: %v", *alertRules, err)
 			}
 		}
 		cfg.Alerts = ac
@@ -247,11 +249,11 @@ func main() {
 	if *configFile != "" {
 		data, err := os.ReadFile(*configFile)
 		if err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		var fileCfg hermes.Config
 		if err := json.Unmarshal(data, &fileCfg); err != nil {
-			log.Fatalf("parse %s: %v", *configFile, err)
+			prof.Fatalf("parse %s: %v", *configFile, err)
 		}
 		fileCfg.TraceWriter = cfg.TraceWriter
 		fileCfg.PerfettoWriter = cfg.PerfettoWriter
@@ -297,7 +299,7 @@ func main() {
 			for _, s := range strings.Split(*ckptAtMs, ",") {
 				ms, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 				if err != nil {
-					log.Fatalf("-checkpoint-at-ms %q: %v", *ckptAtMs, err)
+					prof.Fatalf("-checkpoint-at-ms %q: %v", *ckptAtMs, err)
 				}
 				ck.AtNs = append(ck.AtNs, int64(ms*1e6))
 			}
@@ -313,7 +315,7 @@ func main() {
 		st.Plan(1)
 		srv, err := hermes.ServeStatus(*statusAddr, st)
 		if err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "status plane on %s\n", srv.URL())
@@ -341,11 +343,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "interrupted at t=%.1fms; checkpoint written to %s\n",
 			float64(ie.Checkpoint.SimTimeNs)/1e6, ie.Checkpoint.Path)
 		fmt.Fprintf(os.Stderr, "resume with: hermes-sim -resume %s\n", ie.Checkpoint.Path)
-		stopProfiles()
-		os.Exit(130)
+		prof.Exit(130)
 	}
 	if err != nil {
-		log.Fatal(err)
+		prof.Fatal(err)
 	}
 	for _, ci := range res.Checkpoints {
 		fmt.Fprintf(os.Stderr, "checkpoint t=%.1fms written to %s (%d bytes)\n",
@@ -376,7 +377,7 @@ func main() {
 	if cfg.Telemetry {
 		report, err = hermes.BuildReport(cfg, res)
 		if err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 	}
 	if *reportFile != "" {
@@ -387,37 +388,37 @@ func main() {
 			report.Manifest = &m
 		}
 		if err := writeReport(report, *reportFile); err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "report written to %s\n", *reportFile)
 	}
 	if *alertLog != "" {
 		if res.Alerts == nil {
-			log.Fatal("-alert-log needs the watchdog armed (-alerts, -alert-rules or Config.Alerts)")
+			prof.Fatal("-alert-log needs the watchdog armed (-alerts, -alert-rules or Config.Alerts)")
 		}
 		f, err := os.Create(*alertLog)
 		if err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		label := fmt.Sprintf("%s/seed %d", res.Scheme, cfg.Seed)
 		if err := hermes.WriteAlertLog(f, label, res.Alerts); err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "alert log written to %s (view with hermes-trace -alerts)\n", *alertLog)
 	}
 	if *auditFile != "" {
 		f, err := os.Create(*auditFile)
 		if err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		if err := res.Telemetry.Audit.WriteJSONL(f); err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "audit log (%d entries) written to %s\n",
 			res.Telemetry.Audit.Len(), *auditFile)
@@ -427,7 +428,7 @@ func main() {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(res); err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		return
 	}
@@ -487,7 +488,7 @@ func main() {
 	}
 	if res.Alerts != nil {
 		if err := hermes.RenderAlertText(os.Stdout, res.Alerts, 0); err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 	}
 	if res.Perf != nil {
@@ -496,7 +497,7 @@ func main() {
 	if report != nil {
 		fmt.Println()
 		if err := report.RenderText(os.Stdout); err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 	}
 }

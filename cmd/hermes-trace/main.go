@@ -20,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"sort"
 	"strings"
@@ -30,6 +29,10 @@ import (
 	"github.com/hermes-repro/hermes/internal/textplot"
 	"github.com/hermes-repro/hermes/internal/trace"
 )
+
+// prof is the -cpuprofile/-memprofile pair; exits go through prof.Exit,
+// prof.Fatal and prof.Fatalf so the profiles are flushed.
+var prof = perf.ProfileFlags(flag.CommandLine, "the analysis")
 
 func main() {
 	var (
@@ -45,7 +48,6 @@ func main() {
 		width       = flag.Int("width", 64, "chart width in cells")
 		version     = flag.Bool("version", false, "print build version and VCS revision, then exit")
 	)
-	prof := perf.ProfileFlags(flag.CommandLine, "the analysis")
 	flag.Parse()
 	if *version {
 		fmt.Println(hermes.VersionString())
@@ -53,12 +55,12 @@ func main() {
 	}
 	stopProfiles, err := prof.Start()
 	if err != nil {
-		log.Fatal(err)
+		prof.Fatal(err)
 	}
 	defer stopProfiles()
 	if *ledgerFile != "" {
 		if err := renderPerfLedger(os.Stdout, *ledgerFile, *width); err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		if flag.NArg() == 0 && *tsFile == "" && *alertsFile == "" {
 			return
@@ -66,7 +68,7 @@ func main() {
 	}
 	if *ckptFile != "" {
 		if err := inspectCheckpoint(os.Stdout, *ckptFile); err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		if flag.NArg() == 0 && *tsFile == "" && *alertsFile == "" {
 			return
@@ -74,7 +76,7 @@ func main() {
 	}
 	if *alertsFile != "" {
 		if err := renderAlertLog(os.Stdout, *alertsFile, *width); err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		if flag.NArg() == 0 && *tsFile == "" {
 			return
@@ -82,7 +84,7 @@ func main() {
 	}
 	if *tsFile != "" {
 		if err := timeline(os.Stdout, loadTimeseries(*tsFile), *width); err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		if flag.NArg() == 0 {
 			return
@@ -92,11 +94,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: hermes-trace [flags] trace.jsonl")
 		fmt.Fprintln(os.Stderr, "       hermes-trace -timeline run.ts.jsonl")
 		flag.PrintDefaults()
-		stopProfiles()
-		os.Exit(2)
+		prof.Exit(2)
 	}
 	if *pct < 0 || *pct >= 1 {
-		log.Fatalf("-pct %v out of range [0,1)", *pct)
+		prof.Fatalf("-pct %v out of range [0,1)", *pct)
 	}
 
 	rec := loadTrace(flag.Arg(0))
@@ -104,13 +105,13 @@ func main() {
 	if *perfetto != "" {
 		f, err := os.Create(*perfetto)
 		if err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		if err := rec.WritePerfetto(f); err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "perfetto trace written to %s (open in ui.perfetto.dev)\n", *perfetto)
 	}
@@ -118,7 +119,7 @@ func main() {
 	if *compareFile != "" {
 		other := loadTrace(*compareFile)
 		if err := compare(os.Stdout, flag.Arg(0), rec, *compareFile, other, *pct); err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		return
 	}
@@ -127,27 +128,27 @@ func main() {
 	if *reportFile != "" {
 		data, err := os.ReadFile(*reportFile)
 		if err != nil {
-			log.Fatal(err)
+			prof.Fatal(err)
 		}
 		rep = &hermes.Report{}
 		if err := json.Unmarshal(data, rep); err != nil {
-			log.Fatalf("parse %s: %v", *reportFile, err)
+			prof.Fatalf("parse %s: %v", *reportFile, err)
 		}
 	}
 	if err := analyze(os.Stdout, rec, rep, *topN, *pct, *width); err != nil {
-		log.Fatal(err)
+		prof.Fatal(err)
 	}
 }
 
 func loadTrace(path string) *trace.Recorder {
 	f, err := os.Open(path)
 	if err != nil {
-		log.Fatal(err)
+		prof.Fatal(err)
 	}
 	defer f.Close()
 	rec, err := trace.ReadJSONL(f)
 	if err != nil {
-		log.Fatal(err)
+		prof.Fatal(err)
 	}
 	return rec
 }

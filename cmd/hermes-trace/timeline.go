@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"sort"
 	"strings"
@@ -18,7 +17,7 @@ import (
 func loadTimeseries(path string) *timeseries.Recorder {
 	f, err := os.Open(path)
 	if err != nil {
-		log.Fatal(err)
+		prof.Fatal(err)
 	}
 	defer f.Close()
 	var rec *timeseries.Recorder
@@ -28,7 +27,7 @@ func loadTimeseries(path string) *timeseries.Recorder {
 		rec, err = timeseries.ReadJSONL(f)
 	}
 	if err != nil {
-		log.Fatalf("parse %s: %v", path, err)
+		prof.Fatalf("parse %s: %v", path, err)
 	}
 	return rec
 }

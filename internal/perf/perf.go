@@ -41,6 +41,7 @@ type Options struct {
 type KindStat struct {
 	Kind         string
 	Count        uint64
+	Cancelled    uint64  `json:",omitempty"` // cancelled events popped unrun
 	SampledFires uint64  `json:",omitempty"`
 	SampledNs    int64   `json:",omitempty"`
 	EstSharePct  float64 `json:",omitempty"` // share of attributed wall time
@@ -51,10 +52,11 @@ type KindStat struct {
 // what the Go runtime did meanwhile. It is wall-clock data — informative,
 // machine-dependent, and deliberately excluded from deterministic reports.
 type RunReport struct {
-	EventsTotal uint64
-	ByKind      []KindStat `json:",omitempty"`
-	QueuePeak   int
-	SampleEvery int
+	EventsTotal   uint64
+	CancelledPops uint64     `json:",omitempty"` // queued work that never ran
+	ByKind        []KindStat `json:",omitempty"`
+	QueuePeak     int
+	SampleEvery   int
 
 	SimNs        int64
 	WallNs       int64
@@ -76,11 +78,12 @@ type RunReport struct {
 // aggregates (rs may be nil when no sampler ran).
 func BuildRunReport(p *sim.Profile, simNs, wallNs int64, rs *RuntimeStats) *RunReport {
 	r := &RunReport{
-		EventsTotal: p.Total(),
-		QueuePeak:   p.QueuePeak(),
-		SampleEvery: p.SampleEvery(),
-		SimNs:       simNs,
-		WallNs:      wallNs,
+		EventsTotal:   p.Total(),
+		CancelledPops: p.CancelledTotal(),
+		QueuePeak:     p.QueuePeak(),
+		SampleEvery:   p.SampleEvery(),
+		SimNs:         simNs,
+		WallNs:        wallNs,
 	}
 	if wallNs > 0 {
 		r.SimPerWall = float64(simNs) / float64(wallNs)
@@ -92,12 +95,13 @@ func BuildRunReport(p *sim.Profile, simNs, wallNs int64, rs *RuntimeStats) *RunR
 	}
 	for k := 0; k < sim.NumKinds; k++ {
 		kk := sim.Kind(k)
-		if p.Count(kk) == 0 {
+		if p.Count(kk) == 0 && p.Cancelled(kk) == 0 {
 			continue
 		}
 		ks := KindStat{
 			Kind:         kk.String(),
 			Count:        p.Count(kk),
+			Cancelled:    p.Cancelled(kk),
 			SampledFires: p.SampledFires(kk),
 			SampledNs:    p.SampledNs(kk),
 		}
@@ -129,8 +133,8 @@ func BuildRunReport(p *sim.Profile, simNs, wallNs int64, rs *RuntimeStats) *RunR
 
 // RenderText writes the human-readable perf block the CLIs print.
 func (r *RunReport) RenderText(w io.Writer) {
-	fmt.Fprintf(w, "perf: %s events fired (queue peak %d), %s sim ns in %s wall ns (%.1fx realtime, %s events/sec)\n",
-		humanCount(r.EventsTotal), r.QueuePeak,
+	fmt.Fprintf(w, "perf: %s events fired, %s cancelled pops (queue peak %d), %s sim ns in %s wall ns (%.1fx realtime, %s events/sec)\n",
+		humanCount(r.EventsTotal), humanCount(r.CancelledPops), r.QueuePeak,
 		humanCount(uint64(r.SimNs)), humanCount(uint64(r.WallNs)),
 		r.SimPerWall, humanCount(uint64(r.EventsPerSec)))
 	if len(r.ByKind) > 0 {
@@ -139,6 +143,9 @@ func (r *RunReport) RenderText(w io.Writer) {
 			fmt.Fprintf(w, "    %-10s %12s fires", ks.Kind, humanCount(ks.Count))
 			if ks.SampledFires > 0 {
 				fmt.Fprintf(w, "  ~%5.1f%% of event time (%d sampled)", ks.EstSharePct, ks.SampledFires)
+			}
+			if ks.Cancelled > 0 {
+				fmt.Fprintf(w, "  %s cancelled", humanCount(ks.Cancelled))
 			}
 			fmt.Fprintln(w)
 		}

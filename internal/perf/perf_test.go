@@ -168,6 +168,7 @@ func TestBuildRunReport(t *testing.T) {
 		e.ScheduleKind(int64(i), sim.KindPortTx, func() {})
 	}
 	e.ScheduleKind(20, sim.KindRTO, func() {})
+	e.ScheduleKind(30, sim.KindProbe, func() {}).Cancel()
 	e.RunAll()
 
 	r := BuildRunReport(p, int64(e.Now()), int64(5e6), &RuntimeStats{
@@ -176,8 +177,12 @@ func TestBuildRunReport(t *testing.T) {
 	if r.EventsTotal != 11 {
 		t.Fatalf("EventsTotal = %d", r.EventsTotal)
 	}
-	if len(r.ByKind) != 2 || r.ByKind[0].Kind != "port_tx" || r.ByKind[0].Count != 10 {
+	if len(r.ByKind) != 3 || r.ByKind[0].Kind != "port_tx" || r.ByKind[0].Count != 10 {
 		t.Fatalf("ByKind = %+v (want port_tx first by count)", r.ByKind)
+	}
+	// A kind with only cancelled pops still gets a row.
+	if r.CancelledPops != 1 || r.ByKind[2].Kind != "probe" || r.ByKind[2].Cancelled != 1 {
+		t.Fatalf("cancelled pops: total %d, ByKind = %+v", r.CancelledPops, r.ByKind)
 	}
 	if r.SimNs != int64(e.Now()) || r.WallNs != 5e6 {
 		t.Fatalf("clocks: %+v", r)
@@ -196,7 +201,7 @@ func TestBuildRunReport(t *testing.T) {
 	var sb strings.Builder
 	r.RenderText(&sb)
 	out := sb.String()
-	for _, want := range []string{"port_tx", "rto", "events"} {
+	for _, want := range []string{"port_tx", "rto", "events", "1 cancelled pops", "1 cancelled"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("RenderText missing %q:\n%s", want, out)
 		}

@@ -15,6 +15,7 @@ import (
 type Profiles struct {
 	cpuPath, memPath *string
 	cpuFile          *os.File
+	started          bool
 	once             sync.Once
 }
 
@@ -29,8 +30,8 @@ func ProfileFlags(fs *flag.FlagSet, what string) *Profiles {
 
 // Start begins the CPU profile if -cpuprofile is set and returns the stop
 // func that flushes it and writes the -memprofile heap profile. Stop is
-// idempotent: defer it, and also call it before any os.Exit, which skips
-// deferred calls.
+// idempotent: defer it, and leave through p.Exit, p.Fatal or p.Fatalf
+// instead of os.Exit or log.Fatal, which skip deferred calls.
 func (p *Profiles) Start() (stop func(), err error) {
 	if *p.cpuPath != "" {
 		if p.cpuFile, err = os.Create(*p.cpuPath); err != nil {
@@ -41,7 +42,33 @@ func (p *Profiles) Start() (stop func(), err error) {
 			return nil, fmt.Errorf("cpuprofile: %w", err)
 		}
 	}
-	return func() { p.once.Do(p.stop) }, nil
+	p.started = true
+	return p.flush, nil
+}
+
+// flush runs stop once, if Start succeeded.
+func (p *Profiles) flush() {
+	if p.started {
+		p.once.Do(p.stop)
+	}
+}
+
+// Exit flushes the profiles if Start succeeded, then exits with code.
+func (p *Profiles) Exit(code int) {
+	p.flush()
+	os.Exit(code)
+}
+
+// Fatal is log.Fatal that flushes the profiles before exiting 1.
+func (p *Profiles) Fatal(v ...any) {
+	log.Output(2, fmt.Sprint(v...))
+	p.Exit(1)
+}
+
+// Fatalf is log.Fatalf that flushes the profiles before exiting 1.
+func (p *Profiles) Fatalf(format string, v ...any) {
+	log.Output(2, fmt.Sprintf(format, v...))
+	p.Exit(1)
 }
 
 func (p *Profiles) stop() {

@@ -12,9 +12,9 @@ import (
 func BenchmarkEngineScheduleRun(b *testing.B) { pinned.EngineScheduleRun(b) }
 
 // TestEngineScheduleAllocGuard pins the engine's zero-allocation contract
-// mechanically: a warm engine schedules and fires without touching the heap,
-// with profiling off AND on (the profiled fire path uses only fixed arrays
-// and time.Now, neither of which allocates).
+// mechanically: a warm engine schedules, cancels and fires without touching
+// the heap, with profiling off AND on (the profiled fire and cancelled-pop
+// paths use only fixed arrays and time.Now, neither of which allocates).
 func TestEngineScheduleAllocGuard(t *testing.T) {
 	for _, mode := range []struct {
 		name    string
@@ -32,7 +32,10 @@ func TestEngineScheduleAllocGuard(t *testing.T) {
 			e.RunAll()
 			body := func() {
 				for i := 0; i < 64; i++ {
-					e.ScheduleCallKind(sim.Time(i%17), sim.KindPortTx, func(a1, a2 any) {}, nil, nil)
+					ev := e.ScheduleCallKind(sim.Time(i%17), sim.KindPortTx, func(a1, a2 any) {}, nil, nil)
+					if i%4 == 0 {
+						ev.Cancel()
+					}
 				}
 				e.RunAll()
 			}

@@ -4,10 +4,11 @@
 // scheduling order, which makes runs with the same seed fully reproducible.
 //
 // The engine is built for the packet-forwarding hot path: the pending-event
-// queue is an inlined 4-ary heap (no container/heap interface boxing), fired
-// and cancelled events are recycled through a free list, and ScheduleCall
-// lets callers schedule a pre-bound function with two receiver arguments so
-// the steady state performs no allocation at all.
+// queue is a monotone radix heap (see queue.go) whose push and pop touch a
+// bucket slice instead of sifting a comparison heap, fired and cancelled
+// events are recycled through a free list, and ScheduleCall lets callers
+// schedule a pre-bound function with two receiver arguments so the steady
+// state performs no allocation at all.
 //
 // Timers that move far more often than they fire (TCP retransmission
 // timeouts re-armed on every ACK, the receiver reorder timer) use Timer, a
@@ -15,7 +16,7 @@
 // re-queueing an event per move. ReserveSeq and AtCallSeq let it, and the
 // Hermes prober's timeout FIFO, fire at exactly the (time, seq) position an
 // event scheduled when the deadline was set would have had, so runs stay
-// byte-identical to cancel-and-reschedule while the heap holds only live
+// byte-identical to cancel-and-reschedule while the queue holds only live
 // work.
 package sim
 
@@ -35,8 +36,8 @@ const (
 // Event lifecycle states.
 const (
 	stateFree     uint8 = iota // on the engine free list (or zero value)
-	stateQueued                // in the pending heap
-	stateCanceled              // in the pending heap, will not fire
+	stateQueued                // in the pending queue
+	stateCanceled              // in the pending queue, will not fire
 	stateFired                 // popped and executing/executed
 )
 
@@ -54,7 +55,7 @@ const (
 // is a bug (the Config.Checks invariant checker exists to catch the
 // resulting double-fire/fire-after-cancel corruption).
 //
-// A cancelled event stays in the heap until popped, so a deadline that is
+// A cancelled event stays in the queue until popped, so a deadline that is
 // re-armed often should not be a cancelled-and-rescheduled Event: use Timer,
 // which owns its wakeup handle and never exposes it.
 type Event struct {
@@ -87,10 +88,11 @@ func (e *Event) Cancel() {
 func (e *Event) Canceled() bool { return e.state == stateCanceled }
 
 // Engine is the event loop. It is not safe for concurrent use; the entire
-// simulation runs on one goroutine.
+// simulation runs on one goroutine. Create it with NewEngine: the zero value
+// is not usable.
 type Engine struct {
 	now     Time
-	events  []*Event // 4-ary min-heap ordered by (at, seq)
+	q       queue // pending events, popped in (at, seq) order
 	seq     uint64
 	stopped bool
 	fired   uint64
@@ -114,7 +116,11 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{}
+	e := &Engine{}
+	for i := range e.q.lo {
+		e.q.lo[i] = maxTime
+	}
+	return e
 }
 
 // Now returns the current virtual time.
@@ -125,7 +131,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of scheduled (possibly cancelled) events.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return e.q.n }
 
 // Seq returns the next scheduling sequence number. Together with Now, Fired
 // and Pending it fingerprints the engine's position in a run: two engines
@@ -136,16 +142,18 @@ func (e *Engine) Seq() uint64 { return e.seq }
 // PendingCensus returns the number of queued events per profiling kind,
 // plus the count of cancelled events awaiting lazy removal (a Timer counts
 // as one event of its kind however often it was re-armed) — a structural
-// fingerprint of the event queue that is invariant under heap layout.
+// fingerprint of the event queue that is invariant under its layout.
 // Scheduling and cancellation are both deterministic, so two engines driven
 // by the same program agree on the census at every instant.
 func (e *Engine) PendingCensus() (byKind [NumKinds]int, cancelled int) {
-	for _, ev := range e.events {
-		if ev.state == stateCanceled {
-			cancelled++
-			continue
+	for i := range e.q.b {
+		for _, ev := range e.q.b[i] {
+			if ev.state == stateCanceled {
+				cancelled++
+				continue
+			}
+			byKind[ev.kind]++
 		}
-		byKind[ev.kind]++
 	}
 	return byKind, cancelled
 }
@@ -156,7 +164,8 @@ func (e *Engine) FreeEvents() int { return len(e.free) }
 
 // EnableChecks turns on per-event invariant checking: virtual time must
 // never move backwards, events at the same instant must fire in scheduling
-// (sequence) order, and no cancelled or recycled event may fire. Violations
+// (sequence) order, no cancelled or recycled event may fire, and no event may
+// be queued before the radix queue's floor (see queue.go). Violations
 // are recorded, not panicked, so a harness can report them after the run.
 func (e *Engine) EnableChecks() {
 	e.checks = true
@@ -182,8 +191,8 @@ func (e *Engine) alloc() *Event {
 }
 
 // recycle returns a popped event to the free list. Events are recycled only
-// after leaving the heap (fired, or cancelled and subsequently popped);
-// releasing a still-queued event would let a reuse corrupt the heap.
+// after leaving the queue (fired, or cancelled and subsequently popped);
+// releasing a still-queued event would let a reuse corrupt the queue.
 func (e *Engine) recycle(ev *Event) {
 	ev.fn, ev.fn2, ev.a1, ev.a2 = nil, nil, nil, nil
 	ev.state = stateFree
@@ -256,7 +265,10 @@ func (e *Engine) enqueue(ev *Event, t Time) {
 	ev.seq = e.seq
 	ev.state = stateQueued
 	e.seq++
-	e.push(ev)
+	if e.checks {
+		e.checkPush(ev)
+	}
+	e.q.push(ev)
 }
 
 // ReserveSeq consumes and returns the next scheduling sequence number
@@ -278,16 +290,16 @@ func (e *Engine) AtCallSeq(t Time, seq uint64, k Kind, fn func(a1, a2 any), a1, 
 	if t < e.now {
 		t = e.now
 	}
-	if e.checks && seq >= e.seq {
-		e.violate("AtCallSeq with unreserved seq %d (next %d)", seq, e.seq)
-	}
 	ev := e.alloc()
 	ev.fn2, ev.a1, ev.a2 = fn, a1, a2
 	ev.kind = k
 	ev.at = t
 	ev.seq = seq
 	ev.state = stateQueued
-	e.push(ev)
+	if e.checks {
+		e.checkPush(ev)
+	}
+	e.q.push(ev)
 	return ev
 }
 
@@ -300,13 +312,8 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) Run(until Time) uint64 {
 	start := e.fired
 	e.stopped = false
-	for len(e.events) > 0 && !e.stopped {
-		next := e.events[0]
-		if next.at > until {
-			break
-		}
-		e.pop()
-		e.fire(next)
+	for !e.stopped && e.q.settle(until) {
+		e.fire(e.q.pop())
 	}
 	if e.now < until && !e.stopped {
 		// Advance the clock to the horizon even if no event lands on it, so
@@ -320,9 +327,8 @@ func (e *Engine) Run(until Time) uint64 {
 func (e *Engine) RunAll() uint64 {
 	start := e.fired
 	e.stopped = false
-	for len(e.events) > 0 && !e.stopped {
-		next := e.pop()
-		e.fire(next)
+	for !e.stopped && e.q.settle(maxTime) {
+		e.fire(e.q.pop())
 	}
 	return e.fired - start
 }
@@ -331,6 +337,9 @@ func (e *Engine) RunAll() uint64 {
 // It reports whether the event actually ran.
 func (e *Engine) fire(ev *Event) bool {
 	if ev.state == stateCanceled {
+		if e.prof != nil {
+			e.prof.cancelled[profKind(ev.kind)]++
+		}
 		e.recycle(ev)
 		return false
 	}
@@ -367,64 +376,16 @@ func (e *Engine) checkFire(ev *Event) {
 	e.lastAt, e.lastSeq = ev.at, ev.seq
 }
 
-// eventLess orders the heap by (timestamp, scheduling sequence).
-func eventLess(a, b *Event) bool {
-	if a.at != b.at {
-		return a.at < b.at
+// checkPush flags an event queued under a sequence number not yet handed
+// out (an AtCallSeq without ReserveSeq) or before the queue's floor, which
+// the radix queue would file in the wrong bucket and fire out of order.
+func (e *Engine) checkPush(ev *Event) {
+	if ev.seq >= e.seq {
+		e.violate("event queued with unreserved seq %d (next %d)", ev.seq, e.seq)
 	}
-	return a.seq < b.seq
-}
-
-// push and pop maintain an implicit 4-ary min-heap in e.events. A 4-ary
-// layout halves the tree depth of the binary heap and keeps each node's
-// children in one cache line of pointers, and inlining the comparisons
-// avoids container/heap's interface dispatch on every swap.
-func (e *Engine) push(ev *Event) {
-	h := append(e.events, ev)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !eventLess(h[i], h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
+	if ev.at < e.q.last {
+		e.violate("event at %d queued below the queue floor %d (now=%d)", ev.at, e.q.last, e.now)
 	}
-	e.events = h
-}
-
-func (e *Engine) pop() *Event {
-	h := e.events
-	root := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = nil
-	h = h[:n]
-	e.events = h
-	// Sift the relocated tail element down to its place.
-	i := 0
-	for {
-		c := i<<2 + 1
-		if c >= n {
-			break
-		}
-		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if eventLess(h[j], h[m]) {
-				m = j
-			}
-		}
-		if !eventLess(h[m], h[i]) {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-	return root
 }
 
 func (e *Engine) violate(format string, args ...any) {

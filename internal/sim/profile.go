@@ -56,9 +56,10 @@ type Profile struct {
 	countdown   int64
 
 	counts       [NumKinds]uint64 // exact fire counts per kind
+	cancelled    [NumKinds]uint64 // exact cancelled pops per kind
 	sampledNs    [NumKinds]int64  // wall ns across sampled fires per kind
 	sampledFires [NumKinds]uint64 // number of sampled fires per kind
-	queuePeak    int              // high-water mark of the pending heap
+	queuePeak    int              // high-water mark of the pending queue
 }
 
 // EnableProfile turns on engine self-profiling and returns the profile that
@@ -67,8 +68,9 @@ type Profile struct {
 // DefaultSampleEvery. Calling EnableProfile twice returns the same profile.
 //
 // Cost model: with profiling off the fire path pays one nil check. With it
-// on, every fire pays an array increment and a countdown; only the sampled
-// 1-in-N fires call time.Now, so neither path allocates.
+// on, every fire pays an array increment and a countdown, and every
+// cancelled pop an array increment; only the sampled 1-in-N fires call
+// time.Now, so neither path allocates.
 func (e *Engine) EnableProfile(sampleEvery int) *Profile {
 	if e.prof != nil {
 		return e.prof
@@ -89,14 +91,11 @@ func (e *Engine) Profile() *Profile { return e.prof }
 // callback runs because the callback may recycle-and-reuse the struct.
 func (e *Engine) profiledFire(ev *Event) {
 	p := e.prof
-	k := ev.kind
-	if int(k) >= NumKinds {
-		k = KindOther
-	}
+	k := profKind(ev.kind)
 	p.counts[k]++
-	// +1: the fired event just left the heap, so pending underestimates the
+	// +1: the fired event just left the queue, so pending underestimates the
 	// instantaneous depth by one.
-	if d := len(e.events) + 1; d > p.queuePeak {
+	if d := e.q.n + 1; d > p.queuePeak {
 		p.queuePeak = d
 	}
 	p.countdown--
@@ -121,11 +120,32 @@ func (e *Engine) profiledFire(ev *Event) {
 	e.recycle(ev)
 }
 
+// profKind maps an out-of-range tag to KindOther for array indexing.
+func profKind(k Kind) Kind {
+	if int(k) >= NumKinds {
+		return KindOther
+	}
+	return k
+}
+
 // SampleEvery returns the wall-time sampling stride.
 func (p *Profile) SampleEvery() int { return int(p.sampleEvery) }
 
 // Count returns the exact number of fired events of kind k.
 func (p *Profile) Count(k Kind) uint64 { return p.counts[k] }
+
+// Cancelled returns the exact number of cancelled events of kind k popped
+// from the queue: work the queue carried that never ran.
+func (p *Profile) Cancelled(k Kind) uint64 { return p.cancelled[k] }
+
+// CancelledTotal returns the exact total number of cancelled pops.
+func (p *Profile) CancelledTotal() uint64 {
+	var t uint64
+	for _, c := range p.cancelled {
+		t += c
+	}
+	return t
+}
 
 // SampledNs returns the total wall nanoseconds measured across the sampled
 // fires of kind k. Multiply by SampleEvery for an estimate of the kind's
@@ -135,7 +155,7 @@ func (p *Profile) SampledNs(k Kind) int64 { return p.sampledNs[k] }
 // SampledFires returns how many fires of kind k were wall-timed.
 func (p *Profile) SampledFires(k Kind) uint64 { return p.sampledFires[k] }
 
-// QueuePeak returns the high-water mark of the pending-event heap observed
+// QueuePeak returns the high-water mark of the pending-event queue observed
 // while profiling (including the event being fired).
 func (p *Profile) QueuePeak() int { return p.queuePeak }
 

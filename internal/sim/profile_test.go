@@ -31,6 +31,12 @@ func TestProfileCountsByKind(t *testing.T) {
 	if got := p.Count(KindChaos); got != 0 {
 		t.Fatalf("cancelled event counted: Count(KindChaos) = %d", got)
 	}
+	if got := p.Cancelled(KindChaos); got != 1 {
+		t.Fatalf("Cancelled(KindChaos) = %d, want 1", got)
+	}
+	if got := p.CancelledTotal(); got != 1 {
+		t.Fatalf("CancelledTotal() = %d, want 1", got)
+	}
 	if got := p.Total(); got != 16 {
 		t.Fatalf("Total() = %d, want 16", got)
 	}
